@@ -10,7 +10,8 @@ vanishes exactly when ell divides d - 1.  The same gap also telescopes
 into a sum of differences of binomials, which this script recomputes.
 """
 
-from reesag import b_of, ineq_gap_telescoped, ineq_sides
+from reesag import ineq_sides
+from reesag.binomials import b_of, ineq_gap_telescoped
 
 
 def show_cell(d, ell):

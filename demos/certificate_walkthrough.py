@@ -8,7 +8,7 @@ the elements f = x, g = x^ell, h = y^(ell-1) satisfy two finite identities
 which force M * JR(I) inside (f, gt) JR(I) + R(I) h in every degree.
 """
 
-from reesag import build_certificate_2dim, mult2_note, verify_claim_containment
+from reesag.certificates import build_certificate_2dim, verify_claim_containment
 
 
 def main():
@@ -27,14 +27,6 @@ def main():
         cert = build_certificate_2dim(ell)
         assert cert.valid
         print(f"  ell = {ell:2d}: f = {cert.f}, g = {cert.g}, h = {cert.h}  -> both identities hold")
-    print()
-
-    note = mult2_note()
-    print("Recorded multiplicity-two consequence (no computation needed):")
-    print(f"  hypothesis: {note.hypothesis}")
-    for fact in note.facts:
-        print(f"  - {fact}")
-    print(f"  conclusion: {note.conclusion}")
 
 
 if __name__ == "__main__":

@@ -7,12 +7,10 @@ sweep and multiplicity is a finite difference of colengths of powers.
 
 import random
 
-from reesag import (
-    Monomial,
-    MonomialIdeal,
+from reesag import Monomial, MonomialIdeal, maximal_power
+from reesag.monomials import (
     brute_colon,
     format_ideal,
-    maximal_power,
     parse_ideal,
     random_ideal,
     sufficient_colon_bound,

@@ -13,7 +13,7 @@ A display variant of the precondition, m K = y(mK) + x m, happens to hold
 at r = 2 but at no larger r; the checker reports it separately.
 """
 
-from reesag import veronese_instance, veronese_report, verify_minimal_multiplicity
+from reesag.veronese import veronese_instance, veronese_report, verify_minimal_multiplicity
 
 
 def main():

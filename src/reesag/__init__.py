@@ -6,139 +6,28 @@ Gorenstein local without being graded, or none of these, and backs every
 verdict with exact integer evidence: binomial generator counts, canonical
 ladder data, monomial-ideal identities, and semigroup-module identities on
 the Veronese instance of minimal multiplicity.
+
+The top level re-exports the entry points of the README's Library example;
+everything else is imported from its own module (reesag.binomials,
+reesag.canonical, reesag.classify, reesag.goodideals, reesag.certificates,
+reesag.monomials, reesag.veronese, reesag.cli).
 """
 
-from .binomials import (
-    IneqSides,
-    b_of,
-    binom,
-    colength_power,
-    ineq_gap_telescoped,
-    ineq_sides,
-    mu_power,
-)
-from .canonical import (
-    CanonicalLadder,
-    Obstruction,
-    UlrichNumbers,
-    agl_inequality,
-    ladder,
-    ladder_cross_check,
-    ladder_report,
-    mu_K,
-    mu_MK,
-    notgraded_obstruction,
-    ulrich_numbers,
-)
-from .certificates import (
-    Certificate2D,
-    Mult2Note,
-    build_certificate_2dim,
-    mult2_note,
-    verify_claim_containment,
-)
-from .classify import (
-    ClassLabel,
-    Evidence,
-    RULE_LABELS,
-    classify,
-    cross_check,
-    render_ascii,
-    render_csv,
-    render_json,
-    table,
-)
-from .goodideals import (
-    GoodIdealReport,
-    HighGoodProfile,
-    good_report,
-    high_good_profile,
-    is_stable,
-)
-from .monomials import (
-    IdealFileError,
-    Monomial,
-    MonomialIdeal,
-    brute_colon,
-    format_ideal,
-    load_ideal,
-    maximal_power,
-    minimalize,
-    monomials_of_degree,
-    monomials_up_to_degree,
-    parse_ideal,
-    random_ideal,
-    sufficient_colon_bound,
-)
-from .veronese import (
-    SemigroupModule,
-    VeroneseInstance,
-    veronese_instance,
-    veronese_report,
-    verify_good_agg_claim,
-    verify_good_agg_parts,
-    verify_minimal_multiplicity,
-)
+from .binomials import ineq_sides
+from .canonical import ladder
+from .classify import classify
+from .goodideals import good_report
+from .monomials import Monomial, MonomialIdeal, maximal_power
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "IneqSides",
-    "b_of",
-    "binom",
-    "colength_power",
-    "ineq_gap_telescoped",
-    "ineq_sides",
-    "mu_power",
-    "CanonicalLadder",
-    "Obstruction",
-    "UlrichNumbers",
-    "agl_inequality",
-    "ladder",
-    "ladder_cross_check",
-    "ladder_report",
-    "mu_K",
-    "mu_MK",
-    "notgraded_obstruction",
-    "ulrich_numbers",
-    "Certificate2D",
-    "Mult2Note",
-    "build_certificate_2dim",
-    "mult2_note",
-    "verify_claim_containment",
-    "ClassLabel",
-    "Evidence",
-    "RULE_LABELS",
-    "classify",
-    "cross_check",
-    "render_ascii",
-    "render_csv",
-    "render_json",
-    "table",
-    "GoodIdealReport",
-    "HighGoodProfile",
-    "good_report",
-    "high_good_profile",
-    "is_stable",
-    "IdealFileError",
     "Monomial",
     "MonomialIdeal",
-    "brute_colon",
-    "format_ideal",
-    "load_ideal",
+    "classify",
+    "good_report",
+    "ineq_sides",
+    "ladder",
     "maximal_power",
-    "minimalize",
-    "monomials_of_degree",
-    "monomials_up_to_degree",
-    "parse_ideal",
-    "random_ideal",
-    "sufficient_colon_bound",
-    "SemigroupModule",
-    "VeroneseInstance",
-    "veronese_instance",
-    "veronese_report",
-    "verify_good_agg_claim",
-    "verify_good_agg_parts",
-    "verify_minimal_multiplicity",
     "__version__",
 ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .binomials import b_of, ineq_sides, mu_power
+from .binomials import _check_hypothesis, b_of, ineq_sides, mu_power
 from .monomials import MonomialIdeal, maximal_power
 
 __all__ = [
@@ -25,10 +25,8 @@ __all__ = [
     "ladder",
     "mu_K",
     "mu_MK",
-    "agl_inequality",
     "ulrich_numbers",
     "notgraded_obstruction",
-    "ladder_cross_check",
     "ladder_report",
 ]
 
@@ -52,6 +50,21 @@ class CanonicalLadder:
     @property
     def unit_tail(self) -> bool:
         return self.tail_exponent == 0
+
+    @property
+    def mu_K(self) -> int:
+        """Minimal generators of the canonical module: b + mu(m^e), e the tail exponent."""
+        return self.b + mu_power(self.d, self.tail_exponent)
+
+    @property
+    def mu_MK(self) -> int:
+        """Minimal generators of MK, M the graded maximal ideal.
+
+        MK is generated by m in degrees 1 .. b, m^(e+1) in degree b+1 and
+        m^(e+ell) in degree b+2: b*d + mu(m^(e+1)) + mu(m^(e+ell)).
+        """
+        e = self.tail_exponent
+        return self.b * self.d + mu_power(self.d, e + 1) + mu_power(self.d, e + self.ell)
 
     def component_exponent(self, n: int) -> int:
         """Exponent k with degree-n component m^k (k = 0 means unit ideal)."""
@@ -89,44 +102,16 @@ def ladder(d: int, ell: int) -> CanonicalLadder:
     return CanonicalLadder(d=d, ell=ell, b=b, tail_exponent=tail)
 
 
-def _require_hypothesis(d: int, ell: int, where: str) -> None:
-    if d < 3:
-        raise ValueError(f"{where} needs d >= 3, got d={d}")
-    if ell < 2:
-        raise ValueError(f"{where} needs ell >= 2, got ell={ell}")
-
-
 def mu_K(d: int, ell: int) -> int:
-    """Minimal generators of the canonical module: b + mu(m^e), e the tail exponent."""
-    _require_hypothesis(d, ell, "mu_K")
-    lad = ladder(d, ell)
-    return lad.b + mu_power(d, lad.tail_exponent)
+    """Minimal generators of the canonical module of R(m^ell); d >= 3, ell >= 2."""
+    _check_hypothesis(d, ell, "mu_K")
+    return ladder(d, ell).mu_K
 
 
 def mu_MK(d: int, ell: int) -> int:
-    """Minimal generators of MK, M the graded maximal ideal.
-
-    MK is generated by m in degrees 1 .. b, m^(e+1) in degree b+1 and
-    m^(e+ell) in degree b+2: b*d + mu(m^(e+1)) + mu(m^(e+ell)).
-    """
-    _require_hypothesis(d, ell, "mu_MK")
-    lad = ladder(d, ell)
-    e = lad.tail_exponent
-    return lad.b * d + mu_power(d, e + 1) + mu_power(d, e + ell)
-
-
-def agl_inequality(d: int, ell: int) -> bool:
-    """The generator-count inequality forced by almost Gorensteinness.
-
-    mu(m^(e+1)) + mu(m^(e+ell)) <= mu(m^ell) + d * mu(m^e) with e the tail
-    exponent.  The reverse inequality always holds, so this is true exactly
-    when the two sides are equal, i.e. when ell divides d - 1.
-    """
-    _require_hypothesis(d, ell, "agl_inequality")
-    e = ladder(d, ell).tail_exponent
-    lhs = mu_power(d, e + 1) + mu_power(d, e + ell)
-    rhs = mu_power(d, ell) + d * mu_power(d, e)
-    return lhs <= rhs
+    """Minimal generators of MK, M the graded maximal ideal; d >= 3, ell >= 2."""
+    _check_hypothesis(d, ell, "mu_MK")
+    return ladder(d, ell).mu_MK
 
 
 def ulrich_numbers(d: int, ell: int) -> UlrichNumbers:
@@ -144,7 +129,7 @@ def ulrich_numbers(d: int, ell: int) -> UlrichNumbers:
         raise ValueError(
             f"ulrich_numbers needs ell | d-1 (unit ladder tail), got d={d}, ell={ell}"
         )
-    c = (d - 1) // ell - 1
+    c = b_of(d, ell)  # (d-1)/ell - 1, since ell | d-1
     return UlrichNumbers(c=c, mu_C=c, e_C=c)
 
 
@@ -170,35 +155,9 @@ def notgraded_obstruction(d: int, ell: int) -> Obstruction:
     return Obstruction(mu_bound=b, e_bound=e_bound)
 
 
-def ladder_cross_check(d: int, ell: int, n_max: int) -> bool:
-    """Check the ladder against the colon construction, dimension 2 only.
-
-    At d = 2 the degree-n component m^(n*ell-1) must equal
-    (m^ell)^(n-1) * J with J = (x^ell, y^ell) : m^ell, for 1 <= n <= n_max.
-    """
-    if d != 2:
-        raise ValueError(f"ladder_cross_check is a d=2 check, got d={d}")
-    if ell < 2:
-        raise ValueError(f"ladder_cross_check needs ell >= 2, got ell={ell}")
-    if n_max < 1:
-        raise ValueError(f"need n_max >= 1, got {n_max}")
-    from .monomials import Monomial
-
-    power_ell = maximal_power(2, ell)
-    pure = MonomialIdeal(2, (Monomial((ell, 0)), Monomial((0, ell))))
-    J = pure.colon(power_ell)
-    lad = ladder(2, ell)
-    current = J
-    for n in range(1, n_max + 1):
-        if lad.component(n) != current:
-            return False
-        current = current * power_ell
-    return True
-
-
 def ladder_report(d: int, ell: int) -> dict:
     """Serializable summary of the ladder numbers for one (d, ell)."""
-    _require_hypothesis(d, ell, "ladder_report")
+    _check_hypothesis(d, ell, "ladder_report")
     lad = ladder(d, ell)
     report = {
         "d": d,
@@ -206,11 +165,11 @@ def ladder_report(d: int, ell: int) -> dict:
         "b": lad.b,
         "tail_exponent": lad.tail_exponent,
         "a_invariant": lad.a_invariant,
-        "mu_K": mu_K(d, ell),
-        "mu_MK": mu_MK(d, ell),
+        "mu_K": lad.mu_K,
+        "mu_MK": lad.mu_MK,
         "gap": ineq_sides(d, ell).gap,
     }
-    if (d - 1) % ell == 0 and ell != d - 1:
+    if lad.unit_tail and ell != d - 1:
         obs = notgraded_obstruction(d, ell)
         report["obstruction"] = {"mu_bound": obs.mu_bound, "e_bound": obs.e_bound}
     return report

@@ -10,8 +10,7 @@ f = x in m, g = x^ell in I, h = y^(ell-1) in J satisfying
 and these two finite identities propagate to the containment
 M * JR(I) inside (f, gt) JR(I) + R(I) h degree by degree.  The engine
 checks both identities exactly and can replay the degreewise containment
-up to any bound.  Also here: the recorded multiplicity-two consequence,
-which needs no computation.
+up to any bound.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ __all__ = [
     "Certificate2D",
     "build_certificate_2dim",
     "verify_claim_containment",
-    "Mult2Note",
-    "mult2_note",
 ]
 
 
@@ -123,26 +120,3 @@ def verify_claim_containment(cert: Certificate2D, n_max: int) -> bool:
             )
     return True
 
-
-@dataclass(frozen=True)
-class Mult2Note:
-    """Recorded fact, no computation behind it."""
-
-    hypothesis: str
-    facts: tuple[str, ...]
-    conclusion: str
-
-
-_MULT2_NOTE = Mult2Note(
-    hypothesis="Cohen-Macaulay local ring with multiplicity e(A) = 2 and infinite residue field",
-    facts=(
-        "multiplicity 2 gives minimal multiplicity: m^2 = Qm for a minimal reduction Q, so m is stable",
-        "a multiplicity-2 Cohen-Macaulay local ring is a hypersurface, hence Gorenstein: K = A",
-    ),
-    conclusion="the Rees algebra of the maximal ideal is an almost Gorenstein graded ring",
-)
-
-
-def mult2_note() -> Mult2Note:
-    """The multiplicity-two consequence as a stable documentation record."""
-    return _MULT2_NOTE

@@ -24,8 +24,8 @@ import io
 import json
 from dataclasses import dataclass
 
-from .binomials import ineq_sides, mu_power
-from .canonical import Obstruction, ladder, mu_K, notgraded_obstruction
+from .binomials import ineq_sides
+from .canonical import Obstruction, ladder, notgraded_obstruction
 
 __all__ = [
     "ClassLabel",
@@ -33,7 +33,6 @@ __all__ = [
     "RULE_LABELS",
     "classify",
     "table",
-    "cross_check",
     "render_ascii",
     "render_json",
     "render_csv",
@@ -115,8 +114,6 @@ def classify(d: int, ell: int) -> tuple[ClassLabel, Evidence]:
     if ell < 1:
         raise ValueError(f"classify needs ell >= 1, got ell={ell}")
     lad = ladder(d, ell)
-    # the count b + mu(m^e) makes sense for d = 2 and ell = 1 as well
-    mu = lad.b + mu_power(d, lad.tail_exponent)
     gap = ineq_sides(d, ell).gap if (d >= 3 and ell >= 2) else None
     obstruction = None
     if ell == d - 1:
@@ -125,13 +122,14 @@ def classify(d: int, ell: int) -> tuple[ClassLabel, Evidence]:
         rule = "parameter-ideal"
     elif d == 2:
         rule = "dimension-two"
-    elif (d - 1) % ell == 0:
+    elif lad.unit_tail:
         rule = "divisor-local-only"
         obstruction = notgraded_obstruction(d, ell)
     else:
         rule = "gap-positive"
     label = RULE_LABELS[rule]
-    evidence = Evidence(d=d, ell=ell, b=lad.b, mu_K=mu, rule=rule, gap=gap, obstruction=obstruction)
+    # the count b + mu(m^e) makes sense for d = 2 and ell = 1 as well
+    evidence = Evidence(d=d, ell=ell, b=lad.b, mu_K=lad.mu_K, rule=rule, gap=gap, obstruction=obstruction)
     return label, evidence
 
 
@@ -146,27 +144,6 @@ def table(d_max: int, ell_max: int) -> dict[tuple[int, int], tuple[ClassLabel, E
         for d in range(2, d_max + 1)
         for ell in range(1, ell_max + 1)
     }
-
-
-def cross_check(d: int, ell: int) -> bool:
-    """Tie the label to the ladder evidence; d >= 3, ell >= 2 only.
-
-    Gorenstein-or-local labels must coincide with gap = 0; the Gorenstein
-    label must coincide with mu_K = 1; the local-only label must admit the
-    multiplicity obstruction.
-    """
-    if d < 3 or ell < 2:
-        raise ValueError(f"cross_check needs d >= 3 and ell >= 2, got ({d}, {ell})")
-    label, evidence = classify(d, ell)
-    gap = ineq_sides(d, ell).gap
-    ok = (label in (ClassLabel.GORENSTEIN_GRADED, ClassLabel.ALMOST_GORENSTEIN_LOCAL_ONLY)) == (
-        gap == 0
-    )
-    ok = ok and (label is ClassLabel.GORENSTEIN_GRADED) == (mu_K(d, ell) == 1)
-    if label is ClassLabel.ALMOST_GORENSTEIN_LOCAL_ONLY:
-        obs = notgraded_obstruction(d, ell)
-        ok = ok and obs.e_bound > obs.mu_bound + 1
-    return ok
 
 
 # -- renderers ---------------------------------------------------------------

@@ -2,25 +2,19 @@
 
 An ideal I with parameter-style candidate Q inside it is stable when
 I^2 = QI, and good when additionally Q : I = I.  Both are decided exactly
-by the monomial engine; failures come with a witness monomial.  Also here:
-the generator-count profile shared by good ideals in high dimension, whose
-Rees algebra is Gorenstein graded only in dimension three.
+by the monomial engine; failures come with a witness monomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .classify import ClassLabel
 from .monomials import Monomial, MonomialIdeal
 
 __all__ = [
     "GoodIdealReport",
-    "HighGoodProfile",
     "is_stable",
     "good_report",
-    "high_good_profile",
 ]
 
 
@@ -47,11 +41,6 @@ class GoodIdealReport:
             "colon": [g.as_list() for g in self.colon_result.gens],
             "witness": self.witness.as_list() if self.witness is not None else None,
         }
-
-
-class HighGoodProfile(NamedTuple):
-    mu_K: int
-    label: ClassLabel
 
 
 def _flattest(candidates: list[Monomial]) -> Monomial:
@@ -90,8 +79,7 @@ def is_stable(ideal: MonomialIdeal, reduction: MonomialIdeal) -> tuple[bool, Mon
 
 def good_report(ideal: MonomialIdeal, reduction: MonomialIdeal) -> GoodIdealReport:
     """Full stability + colon report for the pair (I, Q)."""
-    _check_pair(ideal, reduction)
-    stable, stability_witness = is_stable(ideal, reduction)
+    stable, stability_witness = is_stable(ideal, reduction)  # checks the pair first
     colon_result = reduction.colon(ideal)
     colon_closed = colon_result == ideal
     witness = stability_witness
@@ -109,15 +97,3 @@ def good_report(ideal: MonomialIdeal, reduction: MonomialIdeal) -> GoodIdealRepo
         witness=witness,
     )
 
-
-def high_good_profile(d: int) -> HighGoodProfile:
-    """Canonical-module generator count for a good ideal in dimension d >= 3.
-
-    mu(K) = d - 2 for the Rees algebra of a good ideal over a d-dimensional
-    regular local ring; the Gorenstein graded case is exactly d = 3, and for
-    d > 3 the ring is still almost Gorenstein local but not graded.
-    """
-    if d < 3:
-        raise ValueError(f"high_good_profile needs d >= 3, got d={d}")
-    label = ClassLabel.GORENSTEIN_GRADED if d == 3 else ClassLabel.ALMOST_GORENSTEIN_LOCAL_ONLY
-    return HighGoodProfile(mu_K=d - 2, label=label)

@@ -187,14 +187,13 @@ def verify_good_agg_parts(inst: VeroneseInstance, ell: int) -> dict[str, bool]:
     }
 
 
+def _claim_holds(parts: dict[str, bool]) -> bool:
+    return parts["precondition_proof_form"] and parts["identity_one"] and parts["identity_two"]
+
+
 def verify_good_agg_claim(inst: VeroneseInstance, ell: int) -> bool:
     """Both claim identities plus the proof-form precondition."""
-    parts = verify_good_agg_parts(inst, ell)
-    return (
-        parts["precondition_proof_form"]
-        and parts["identity_one"]
-        and parts["identity_two"]
-    )
+    return _claim_holds(verify_good_agg_parts(inst, ell))
 
 
 def veronese_report(r: int, ell: int) -> dict:
@@ -208,6 +207,6 @@ def veronese_report(r: int, ell: int) -> dict:
         "y": list(inst.y),
         "z": list(inst.z),
         "minimal_multiplicity": verify_minimal_multiplicity(inst),
-        "claim": verify_good_agg_claim(inst, ell),
+        "claim": _claim_holds(parts),
         **parts,
     }

@@ -3,12 +3,14 @@
 Nothing here imports the package under test.  The Pascal table rebuilds
 binomial coefficients by the additive recurrence; the enumeration oracles
 count exponent vectors by brute force; the membership colength walks every
-cell of the bounding box one by one.
+cell of the bounding box one by one; the almost Gorenstein inequality is
+restated in generator counts with its own tail exponent.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 
 def pascal_table(n_max: int) -> list[list[int]]:
@@ -67,3 +69,23 @@ def colength_by_membership(gens: list[tuple[int, ...]]) -> int:
         if not divisible:
             count += 1
     return count
+
+
+def agl_inequality(d: int, ell: int) -> bool:
+    """The generator-count inequality forced by almost Gorensteinness.
+
+    mu(m^(e+1)) + mu(m^(e+ell)) <= mu(m^ell) + d * mu(m^e), where
+    mu(m^k) = C(k+d-1, d-1) and the tail exponent e is the least e >= 0 with
+    ell | d-1+e.  The reverse inequality always holds, so this is true
+    exactly when the two sides are equal, i.e. when ell divides d - 1.
+    """
+    if d < 3:
+        raise ValueError(f"agl_inequality needs d >= 3, got d={d}")
+    if ell < 2:
+        raise ValueError(f"agl_inequality needs ell >= 2, got ell={ell}")
+    e = -(d - 1) % ell
+
+    def mu(k: int) -> int:
+        return math.comb(k + d - 1, d - 1)
+
+    return mu(e + 1) + mu(e + ell) <= mu(ell) + d * mu(e)

@@ -13,26 +13,15 @@ import random
 import time
 
 from conftest import acceptance_lines
+from oracles import agl_inequality
 
-from reesag import (
-    Monomial,
-    MonomialIdeal,
-    agl_inequality,
-    brute_colon,
-    build_certificate_2dim,
-    good_report,
-    ineq_gap_telescoped,
-    ineq_sides,
-    ladder,
-    maximal_power,
-    mu_K,
-    mu_MK,
-    notgraded_obstruction,
-    random_ideal,
-    sufficient_colon_bound,
-    table,
-    ulrich_numbers,
-    verify_claim_containment,
+from reesag import Monomial, MonomialIdeal, good_report, ineq_sides, ladder, maximal_power
+from reesag.binomials import ineq_gap_telescoped
+from reesag.canonical import mu_K, mu_MK, notgraded_obstruction, ulrich_numbers
+from reesag.certificates import build_certificate_2dim, verify_claim_containment
+from reesag.classify import table
+from reesag.monomials import brute_colon, random_ideal, sufficient_colon_bound
+from reesag.veronese import (
     verify_good_agg_claim,
     verify_good_agg_parts,
     verify_minimal_multiplicity,

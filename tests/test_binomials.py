@@ -3,14 +3,8 @@
 import pytest
 
 from oracles import binom_pascal, count_exponent_vectors, pascal_table
-from reesag import (
-    b_of,
-    binom,
-    colength_power,
-    ineq_gap_telescoped,
-    ineq_sides,
-    mu_power,
-)
+from reesag import ineq_sides
+from reesag.binomials import b_of, binom, colength_power, ineq_gap_telescoped, mu_power
 
 
 def test_binom_frozen_values():

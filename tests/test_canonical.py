@@ -2,22 +2,41 @@
 
 import pytest
 
-from reesag import (
+from oracles import agl_inequality
+from reesag import Monomial, MonomialIdeal, ineq_sides, ladder, maximal_power
+from reesag.binomials import b_of, mu_power
+from reesag.canonical import (
     Obstruction,
     UlrichNumbers,
-    agl_inequality,
-    b_of,
-    ineq_sides,
-    ladder,
-    ladder_cross_check,
     ladder_report,
-    maximal_power,
     mu_K,
     mu_MK,
-    mu_power,
     notgraded_obstruction,
     ulrich_numbers,
 )
+
+
+def ladder_cross_check(d: int, ell: int, n_max: int) -> bool:
+    """Check the ladder against the colon construction, dimension 2 only.
+
+    At d = 2 the degree-n component m^(n*ell-1) must equal
+    (m^ell)^(n-1) * J with J = (x^ell, y^ell) : m^ell, for 1 <= n <= n_max.
+    """
+    if d != 2:
+        raise ValueError(f"ladder_cross_check is a d=2 check, got d={d}")
+    if ell < 2:
+        raise ValueError(f"ladder_cross_check needs ell >= 2, got ell={ell}")
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
+    power_ell = maximal_power(2, ell)
+    pure = MonomialIdeal(2, (Monomial((ell, 0)), Monomial((0, ell))))
+    current = pure.colon(power_ell)
+    lad = ladder(2, ell)
+    for n in range(1, n_max + 1):
+        if lad.component(n) != current:
+            return False
+        current = current * power_ell
+    return True
 
 
 def test_ladder_fields():

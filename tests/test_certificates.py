@@ -2,13 +2,8 @@
 
 import pytest
 
-from reesag import (
-    Monomial,
-    build_certificate_2dim,
-    maximal_power,
-    mult2_note,
-    verify_claim_containment,
-)
+from reesag import Monomial, maximal_power
+from reesag.certificates import build_certificate_2dim, verify_claim_containment
 
 
 @pytest.mark.parametrize("ell", range(2, 21))
@@ -51,11 +46,3 @@ def test_certificate_as_dict():
     assert (d["f"], d["g"], d["h"]) == ("x", "x^3", "y^2")
     assert d["J"] == [[2, 0], [1, 1], [0, 2]]
     assert d["identities"] == {"A": True, "B": True}
-
-
-def test_mult2_note_is_stable_record():
-    note = mult2_note()
-    assert note is mult2_note()
-    assert "multiplicity e(A) = 2" in note.hypothesis
-    assert any("K = A" in fact for fact in note.facts)
-    assert "almost Gorenstein graded" in note.conclusion

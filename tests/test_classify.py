@@ -6,14 +6,12 @@ import pathlib
 
 import pytest
 
-from reesag import (
+from reesag import classify, ineq_sides
+from reesag.canonical import mu_K, notgraded_obstruction
+from reesag.classify import (
     ClassLabel,
     Evidence,
     RULE_LABELS,
-    classify,
-    cross_check,
-    ineq_sides,
-    mu_K,
     render_ascii,
     render_csv,
     render_json,
@@ -29,6 +27,27 @@ def golden_cells():
             (int(row["d"]), int(row["ell"])): row["label"]
             for row in csv.DictReader(fh)
         }
+
+
+def cross_check(d: int, ell: int) -> bool:
+    """Tie the label to the ladder evidence; d >= 3, ell >= 2 only.
+
+    Gorenstein-or-local labels must coincide with gap = 0; the Gorenstein
+    label must coincide with mu_K = 1; the local-only label must admit the
+    multiplicity obstruction.
+    """
+    if d < 3 or ell < 2:
+        raise ValueError(f"cross_check needs d >= 3 and ell >= 2, got ({d}, {ell})")
+    label, _ = classify(d, ell)
+    gap = ineq_sides(d, ell).gap
+    ok = (label in (ClassLabel.GORENSTEIN_GRADED, ClassLabel.ALMOST_GORENSTEIN_LOCAL_ONLY)) == (
+        gap == 0
+    )
+    ok = ok and (label is ClassLabel.GORENSTEIN_GRADED) == (mu_K(d, ell) == 1)
+    if label is ClassLabel.ALMOST_GORENSTEIN_LOCAL_ONLY:
+        obs = notgraded_obstruction(d, ell)
+        ok = ok and obs.e_bound > obs.mu_bound + 1
+    return ok
 
 
 def test_golden_file_shape():

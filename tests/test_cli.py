@@ -1,12 +1,15 @@
 """CLI end to end: every verb, every format, schema validation, exit codes."""
 
+import contextlib
 import json
 import pathlib
+import sys
 
 import pytest
 
-from reesag import ineq_sides, maximal_power, parse_ideal
+from reesag import ineq_sides, maximal_power
 from reesag.cli import main
+from reesag.monomials import parse_ideal
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -135,6 +138,53 @@ def test_classify_ascii(capsys):
     code, out, _ = run_cli(capsys, "classify", "7", "2", "--format", "ascii")
     assert "almost Gorenstein local, not graded [AGL]" in out
     assert "graded obstruction" in out
+
+
+@contextlib.contextmanager
+def unbounded_digits():
+    """Lift Python's int/str digit limit, where it exists, for the block."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# Known defect: these valid inputs exit 2 with Python's 4300-digit int-to-str
+# error.  The fix (lifting the limit inside cli.main) has to land together with
+# a benchmark CLI checker that can parse such output (ROADMAP.md).  Strict, so
+# that the fix must remove the marks.
+BIG_INTEGERS = pytest.mark.xfail(strict=True, reason="CLI stops at 4300-digit integers")
+
+
+@BIG_INTEGERS
+@pytest.mark.parametrize("d, ell", [(15001, 2), (20001, 10000)])
+def test_classify_emits_integers_of_any_size(capsys, d, ell):
+    # the obstruction bound ell^d has more than 4300 decimal digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(capsys, "classify", str(d), str(ell))
+    assert code == 0 and err == ""
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    with unbounded_digits():
+        payload = json.loads(out)
+    schema = json.loads((SCHEMAS / "classify.schema.json").read_text())
+    jsonschema.validate(payload, schema)
+    assert (payload["d"], payload["ell"], payload["label"]) == (d, ell, "AGL")
+    assert payload["evidence"]["gap"] == ineq_sides(d, ell).gap == 0
+    assert payload["evidence"]["obstruction"]["e_bound"] == ell**d
+
+
+@BIG_INTEGERS
+def test_classify_ascii_emits_integers_of_any_size(capsys):
+    code, out, err = run_cli(capsys, "classify", "15001", "2", "--format", "ascii")
+    assert code == 0 and err == ""
+    with unbounded_digits():
+        bound = str(2**15001)
+    assert out.splitlines()[-1] == f"  graded obstruction: mu(C) <= 7499 but e(C) >= {bound}"
 
 
 def test_classify_requires_arguments(capsys):

@@ -2,17 +2,9 @@
 
 import pytest
 
-from reesag import (
-    ClassLabel,
-    Monomial,
-    MonomialIdeal,
-    brute_colon,
-    good_report,
-    high_good_profile,
-    is_stable,
-    maximal_power,
-    sufficient_colon_bound,
-)
+from reesag import Monomial, MonomialIdeal, good_report, maximal_power
+from reesag.goodideals import is_stable
+from reesag.monomials import brute_colon, sufficient_colon_bound
 
 
 def pure_powers(dim, k):
@@ -98,13 +90,3 @@ def test_report_as_dict():
     assert d["witness"] in ([1, 0], [0, 1])
     d = good_report(maximal_power(3, 2), pure_powers(3, 2)).as_dict()
     assert d["good"] is True and d["witness"] is None
-
-
-def test_high_good_profile():
-    assert high_good_profile(3) == (1, ClassLabel.GORENSTEIN_GRADED)
-    for d in range(4, 51):
-        profile = high_good_profile(d)
-        assert profile.mu_K == d - 2
-        assert profile.label is ClassLabel.ALMOST_GORENSTEIN_LOCAL_ONLY
-    with pytest.raises(ValueError):
-        high_good_profile(2)

@@ -5,16 +5,13 @@ import random
 import pytest
 
 from oracles import colength_by_membership
-from reesag import (
+from reesag import Monomial, MonomialIdeal, maximal_power
+from reesag.binomials import colength_power, mu_power
+from reesag.monomials import (
     IdealFileError,
-    Monomial,
-    MonomialIdeal,
     brute_colon,
-    colength_power,
     format_ideal,
-    maximal_power,
     minimalize,
-    mu_power,
     parse_ideal,
     random_ideal,
     sufficient_colon_bound,

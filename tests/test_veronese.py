@@ -2,13 +2,13 @@
 
 import pytest
 
-from reesag import (
+from reesag.veronese import (
     SemigroupModule,
-    veronese_instance,
-    veronese_report,
     verify_good_agg_claim,
     verify_good_agg_parts,
     verify_minimal_multiplicity,
+    veronese_instance,
+    veronese_report,
 )
 
 
