@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import InvariantBreach
+
 __all__ = [
     "binom",
     "mu_power",
@@ -55,7 +57,8 @@ def b_of(d: int, ell: int) -> int:
     if ell < 1:
         raise ValueError(f"b_of needs ell >= 1, got ell={ell}")
     b = (d - 2) // ell
-    assert b == -(-(d - 1) // ell) - 1, f"floor/ceil closed forms disagree at d={d}, ell={ell}"
+    if b != -(-(d - 1) // ell) - 1:
+        raise InvariantBreach(f"floor/ceil closed forms disagree at d={d}, ell={ell}")
     return b
 
 
@@ -107,17 +110,33 @@ def ineq_sides(d: int, ell: int) -> IneqSides:
 def ineq_gap_telescoped(d: int, ell: int) -> int:
     """The inequality gap as a telescoped sum of differences of C(*, d-2).
 
-    gap = sum over j in (i+1 .. ell-1) of [C((b+1)ell + j, d-2) - C((b+1)ell, d-2)]
-    where i = d - 2 - b*ell.  Every summand is >= 0 because C(n, d-2) is
-    nondecreasing in n, which re-proves gap >= 0; the sum is empty exactly
-    when i = ell - 1, i.e. when ell divides d - 1.  Derived from ineq_sides
-    by repeated use of the Pascal identity, so the two must agree everywhere.
+    gap = sum over n in (base+i+1 .. base+ell-1) of [C(n, d-2) - C(base, d-2)]
+    with base = (b+1)ell and i = d - 2 - b*ell.  Every summand is >= 0
+    because C(n, d-2) is nondecreasing in n, which re-proves gap >= 0; the
+    sum is empty exactly when i = ell - 1, i.e. when ell divides d - 1.
+    Derived from ineq_sides by repeated use of the Pascal identity, so the
+    two must agree everywhere.
+
+    The sum is walked term by term: C(base, d-2) and the first C(n, d-2)
+    come from binom, and each later term from the previous one by
+    C(n+1, k) = C(n, k) * (n+1) // (n+1-k), k = d-2.  The division is
+    exact, and its divisor is at least ell + 2 because n >= ell + d - 1.
     """
     _check_hypothesis(d, ell, "ineq_gap_telescoped")
     b = b_of(d, ell)
     i = d - 2 - b * ell
+    if i == ell - 1:
+        return 0
+    k = d - 2
     base = (b + 1) * ell
-    return sum(binom(base + j, d - 2) - binom(base, d - 2) for j in range(i + 1, ell))
+    at_base = binom(base, k)
+    first = base + i + 1
+    term = binom(first, k)
+    gap = term - at_base
+    for n in range(first, base + ell - 1):
+        term = term * (n + 1) // (n + 1 - k)
+        gap += term - at_base
+    return gap
 
 
 def _check_dim_power(d: int, k: int) -> None:

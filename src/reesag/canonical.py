@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .binomials import _check_hypothesis, b_of, ineq_sides, mu_power
+from .errors import InvariantBreach
 from .monomials import MonomialIdeal, maximal_power
 
 __all__ = [
@@ -97,8 +98,10 @@ def ladder(d: int, ell: int) -> CanonicalLadder:
         raise ValueError(f"ladder needs ell >= 1, got ell={ell}")
     b = b_of(d, ell)
     tail = (b + 1) * ell - d + 1
-    assert tail >= 0, f"negative tail exponent at d={d}, ell={ell}"
-    assert (tail == 0) == ((d - 1) % ell == 0), "unit tail must mean ell divides d-1"
+    if tail < 0:
+        raise InvariantBreach(f"negative tail exponent at d={d}, ell={ell}")
+    if (tail == 0) != ((d - 1) % ell == 0):
+        raise InvariantBreach("unit tail must mean ell divides d-1")
     return CanonicalLadder(d=d, ell=ell, b=b, tail_exponent=tail)
 
 
@@ -149,9 +152,11 @@ def notgraded_obstruction(d: int, ell: int) -> Obstruction:
     if ell == d - 1:
         raise ValueError("ell = d-1 is the Gorenstein diagonal; no obstruction there")
     b = (d - 1) // ell - 1
-    assert b == b_of(d, ell), "divisor-case b must match the floor form"
+    if b != b_of(d, ell):
+        raise InvariantBreach("divisor-case b must match the floor form")
     e_bound = ell**d
-    assert e_bound > b + 1, f"obstruction inequality failed at d={d}, ell={ell}"
+    if e_bound <= b + 1:
+        raise InvariantBreach(f"obstruction inequality failed at d={d}, ell={ell}")
     return Obstruction(mu_bound=b, e_bound=e_bound)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvariantBreach
 from .monomials import Monomial, MonomialIdeal, maximal_power
 
 __all__ = [
@@ -115,7 +116,7 @@ def verify_claim_containment(cert: Certificate2D, n_max: int) -> bool:
         lhs = ideal_power * J
         rhs = gJ * prev_power + ideal_power * _principal(h)
         if not rhs.contains(lhs):
-            raise AssertionError(
+            raise InvariantBreach(
                 f"degree-{n} containment failed although degrees 0 and 1 hold (ell={cert.ell})"
             )
     return True

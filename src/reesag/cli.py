@@ -3,7 +3,8 @@
 Verbs: table, lemma-ineq, classify, good-check, certificate, veronese,
 colon, selfcheck.  Exit codes: 0 success, 1 mathematical counterexample
 (reserved; none is expected to exist), 2 usage or input error, 3 internal
-invariant breach.  Verdicts like good=false or label X are data and exit 0;
+invariant breach (raised as InvariantBreach, so it also holds under
+`python -O`).  Verdicts like good=false or label X are data and exit 0;
 only malformed input and violated preconditions are errors.
 """
 
@@ -17,6 +18,7 @@ from random import Random
 from .binomials import ineq_gap_telescoped, ineq_sides
 from .certificates import build_certificate_2dim, verify_claim_containment
 from .classify import ClassLabel, classify, render_ascii, render_csv, render_json, table
+from .errors import InvariantBreach
 from .goodideals import good_report
 from .monomials import (
     brute_colon,
@@ -68,9 +70,10 @@ def cmd_lemma_ineq(args: argparse.Namespace) -> int:
         for ell in range(2, args.lmax + 1):
             sides = ineq_sides(d, ell)
             telescoped = ineq_gap_telescoped(d, ell)
-            assert telescoped == sides.gap, (
-                f"telescoped sum {telescoped} != direct gap {sides.gap} at d={d}, ell={ell}"
-            )
+            if telescoped != sides.gap:
+                raise InvariantBreach(
+                    f"telescoped sum {telescoped} != direct gap {sides.gap} at d={d}, ell={ell}"
+                )
             cells += 1
             divides = (d - 1) % ell == 0
             if args.report_gaps:
@@ -338,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except InvariantBreach as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return 3
 

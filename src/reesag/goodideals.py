@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvariantBreach
 from .monomials import Monomial, MonomialIdeal
 
 __all__ = [
@@ -73,7 +74,8 @@ def is_stable(ideal: MonomialIdeal, reduction: MonomialIdeal) -> tuple[bool, Mon
     if square == qi:
         return True, None
     offending = [g for g in square.gens if not qi.member(g)]
-    assert offending, "I^2 != QI but no generator of I^2 escapes QI"
+    if not offending:
+        raise InvariantBreach("I^2 != QI but no generator of I^2 escapes QI")
     return False, _flattest(offending)
 
 
@@ -87,7 +89,8 @@ def good_report(ideal: MonomialIdeal, reduction: MonomialIdeal) -> GoodIdealRepo
         escaped = [g for g in colon_result.gens if not ideal.member(g)]
         # stability holds on this path, so I lies inside Q:I and the only
         # possible failure is an escape upward
-        assert escaped, "colon differs from I yet no colon generator escapes I"
+        if not escaped:
+            raise InvariantBreach("colon differs from I yet no colon generator escapes I")
         witness = _flattest(escaped)
     return GoodIdealReport(
         stable=stable,

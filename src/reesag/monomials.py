@@ -12,10 +12,12 @@ plain-text ideal file format.
 Key choices:
 
 * exponents are plain Python ints (arbitrary precision, no overflow);
+  anything else, bool and numpy integers included, is refused;
 * product/power work on raw exponent tuples internally and only build
   Monomial objects for the deduplicated results;
 * colength fills a numpy box with a divisibility closure (a cumulative
-  max along each axis) instead of testing membership cell by cell;
+  max along each axis) instead of testing membership cell by cell; numpy
+  is imported on the first colength call, so nothing else pays its import;
 * multiplicity is the d-th forward difference of n -> colength(I^n)
   sampled at n = 1 .. d+1, exact because that function is eventually a
   degree-d polynomial with integer values.
@@ -23,12 +25,11 @@ Key choices:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Iterator
-
-import numpy as np
 
 __all__ = [
     "Monomial",
@@ -59,8 +60,11 @@ class Monomial:
         exps = tuple(self.exponents)
         if not exps:
             raise ValueError("a monomial needs at least one variable")
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps}")
+        for e in exps:
+            if type(e) is not int:
+                raise ValueError(f"exponent {e!r} is not an int in {exps!r}")
+            if e < 0:
+                raise ValueError(f"negative exponent in {exps}")
         object.__setattr__(self, "exponents", exps)
 
     @classmethod
@@ -258,12 +262,10 @@ class MonomialIdeal:
             raise ValueError("colon by the zero ideal is the whole ring; not represented")
         if self.is_zero:
             return self
-        result: MonomialIdeal | None = None
-        for m in other.gens:
-            single = MonomialIdeal(self.dim, (g.colon_by(m) for g in self.gens))
-            result = single if result is None else result.intersection(single)
-        assert result is not None
-        return result
+        singles = (
+            MonomialIdeal(self.dim, (g.colon_by(m) for g in self.gens)) for m in other.gens
+        )
+        return functools.reduce(MonomialIdeal.intersection, singles)
 
     # -- numerics ----------------------------------------------------------
 
@@ -295,6 +297,8 @@ class MonomialIdeal:
             cells *= side
         if cells > _COLENGTH_CELL_CAP:
             raise ValueError(f"colength box has {cells} cells; refusing beyond {_COLENGTH_CELL_CAP}")
+        import numpy as np
+
         marked = np.zeros(tuple(box), dtype=np.uint8)
         inside = [g.exponents for g in self.gens if all(e < s for e, s in zip(g.exponents, box))]
         if inside:

@@ -4,7 +4,8 @@ Nothing here imports the package under test.  The Pascal table rebuilds
 binomial coefficients by the additive recurrence; the enumeration oracles
 count exponent vectors by brute force; the membership colength walks every
 cell of the bounding box one by one; the almost Gorenstein inequality is
-restated in generator counts with its own tail exponent.
+restated in generator counts with its own tail exponent, and its gap as the
+telescoped sum with every term an independent math.comb.
 """
 
 from __future__ import annotations
@@ -89,3 +90,20 @@ def agl_inequality(d: int, ell: int) -> bool:
         return math.comb(k + d - 1, d - 1)
 
     return mu(e + 1) + mu(e + ell) <= mu(ell) + d * mu(e)
+
+
+def telescoped_gap(d: int, ell: int) -> int:
+    """The inequality gap as a sum of C(base + j, d-2) - C(base, d-2).
+
+    j runs over i+1 .. ell-1 with b = floor((d-2)/ell), i = d-2-b*ell and
+    base = (b+1)*ell; each binomial is its own math.comb call, so nothing
+    carries from one term to the next.
+    """
+    if d < 3:
+        raise ValueError(f"telescoped_gap needs d >= 3, got d={d}")
+    if ell < 2:
+        raise ValueError(f"telescoped_gap needs ell >= 2, got ell={ell}")
+    b = (d - 2) // ell
+    i = d - 2 - b * ell
+    base = (b + 1) * ell
+    return sum(math.comb(base + j, d - 2) - math.comb(base, d - 2) for j in range(i + 1, ell))

@@ -1,8 +1,10 @@
 """Binomial layer against the Pascal-recurrence and enumeration oracles."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import binom_pascal, count_exponent_vectors, pascal_table
+from oracles import binom_pascal, count_exponent_vectors, pascal_table, telescoped_gap
 from reesag import ineq_sides
 from reesag.binomials import b_of, binom, colength_power, ineq_gap_telescoped, mu_power
 
@@ -115,3 +117,24 @@ def test_telescoped_equals_direct_on_sweep():
     for d in range(3, 101):
         for ell in range(2, 31):
             assert ineq_gap_telescoped(d, ell) == ineq_sides(d, ell).gap, (d, ell)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(d=st.integers(3, 1500), ell=st.integers(2, 400))
+def test_telescoped_recurrence_matches_oracle_and_direct(d, ell):
+    assert ineq_gap_telescoped(d, ell) == telescoped_gap(d, ell) == ineq_sides(d, ell).gap
+
+
+@pytest.mark.parametrize(
+    "d, ell",
+    [
+        (5, 2), (7, 3), (201, 100), (1201, 400),  # ell | d-1: the sum is empty
+        (4, 7), (10, 400), (3, 400),  # ell > d
+        (3, 2), (3, 3), (3, 5),  # d = 3: k = d-2 = 1
+        (4, 2), (1500, 399), (1499, 400),  # a single term, and long walks
+    ],
+)
+def test_telescoped_edge_cases(d, ell):
+    gap = ineq_gap_telescoped(d, ell)
+    assert gap == telescoped_gap(d, ell) == ineq_sides(d, ell).gap
+    assert (gap == 0) == ((d - 1) % ell == 0)

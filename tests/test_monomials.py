@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from oracles import colength_by_membership
@@ -40,6 +41,22 @@ def test_monomial_rejects_bad_input():
         Monomial((1, -1))
     with pytest.raises(ValueError):
         Monomial((1, 0)) * Monomial((1, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "exps",
+    [(1.5, 2), (2.0, 2), (True, 2), (1, False), (np.int64(1), 2), (1, np.uint8(2))],
+    ids=["float", "integral-float", "bool", "bool-false", "numpy-int64", "numpy-uint8"],
+)
+def test_monomial_refuses_non_int_exponents(exps):
+    with pytest.raises(ValueError, match="is not an int"):
+        Monomial(exps)
+
+
+def test_colon_by_half_integer_exponent_is_refused():
+    # once accepted, x^1.5 gave the generator x^0.5, printed as an empty string
+    with pytest.raises(ValueError, match="is not an int"):
+        ideal(2, (1.5, 0), (0, 2)).colon(ideal(2, (1, 0)))
 
 
 def test_monomial_str():

@@ -1,0 +1,66 @@
+"""The CLI as a process: what it imports, and its exit codes under `python -O`.
+
+Each test starts a fresh interpreter on the package in src/, because
+sys.modules of the test process already holds numpy, and because -O is a
+flag of the interpreter.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, *flags, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_numpy_stays_off_the_closed_form_path():
+    proc = run_python(
+        """
+        import contextlib, io, sys
+        import reesag
+        print("import", "numpy" in sys.modules)
+        from reesag.cli import main
+        for argv in (["table", "10", "9"], ["lemma-ineq"], ["classify", "7", "3"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            print(argv[0], code, "numpy" in sys.modules)
+        reesag.maximal_power(2, 2).colength()
+        print("colength", "numpy" in sys.modules)
+        """
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "import False",
+        "table 0 False",
+        "lemma-ineq 0 False",
+        "classify 0 False",
+        "colength True",
+    ]
+
+
+def test_invariant_breach_exits_3_under_optimize():
+    # a telescoped gap off by one must be caught even though -O strips asserts
+    proc = run_python(
+        """
+        import sys
+        import reesag.cli as cli
+        from reesag.binomials import ineq_gap_telescoped
+        if not sys.flags.optimize:
+            sys.exit("this check needs python -O")
+        cli.ineq_gap_telescoped = lambda d, ell: ineq_gap_telescoped(d, ell) + 1
+        sys.exit(cli.main(["lemma-ineq", "--dmax", "5", "--lmax", "3"]))
+        """,
+        "-O",
+    )
+    assert proc.returncode == 3, (proc.stdout, proc.stderr)
+    assert proc.stdout == ""
+    assert "internal invariant breach: telescoped sum 1 != direct gap 0 at d=3, ell=2" in proc.stderr
