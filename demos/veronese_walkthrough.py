@@ -13,12 +13,12 @@ A display variant of the precondition, m K = y(mK) + x m, happens to hold
 at r = 2 but at no larger r; the checker reports it separately.
 """
 
-from reesag.veronese import veronese_instance, veronese_report, verify_minimal_multiplicity
+from reesag.veronese import VeroneseInstance, veronese_report, verify_minimal_multiplicity
 
 
 def main():
     for r in (2, 3):
-        inst = veronese_instance(r)
+        inst = VeroneseInstance(r)
         print(f"r = {r}: x = {inst.x}, y = {inst.y}, z = {inst.z}")
         print(f"  maximal ideal generators: {inst.maximal_ideal().sorted_gens()}")
         print(f"  canonical module generators: {inst.canonical().sorted_gens()}")

@@ -34,7 +34,6 @@ from typing import Iterable, Iterator
 __all__ = [
     "Monomial",
     "MonomialIdeal",
-    "minimalize",
     "maximal_power",
     "monomials_of_degree",
     "monomials_up_to_degree",
@@ -326,20 +325,6 @@ class MonomialIdeal:
             if n <= d:
                 power = power * self
         return sum((-1) ** (d - k) * comb(d, k) * values[k] for k in range(d + 1))
-
-
-def minimalize(gens: Iterable[Monomial], dim: int | None = None) -> MonomialIdeal:
-    """Build the ideal generated by gens; the result holds the minimal antichain.
-
-    dim is inferred from the first generator and must be supplied only for
-    an empty generating set (the zero ideal).
-    """
-    gens = tuple(gens)
-    if dim is None:
-        if not gens:
-            raise ValueError("empty generating set needs an explicit dim")
-        dim = gens[0].dim
-    return MonomialIdeal(dim, gens)
 
 
 def maximal_power(dim: int, degree: int) -> MonomialIdeal:

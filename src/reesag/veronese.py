@@ -6,7 +6,10 @@ degree exactly r and their multiples) is a good ideal, and its canonical
 module K is spanned by the interior degree-r monomials s^(r-1)t .. st^(r-1).
 Modules here are finitely generated by exponent pairs, with the exact
 membership rule: p lies in the module iff p - q is componentwise
-non-negative with total degree divisible by r for some generator q.
+non-negative with total degree divisible by r for some generator q.  So a
+module is one two-variable monomial ideal per residue class of a + b mod r,
+and membership and equality are answered by those MonomialIdeals, class by
+class.
 
 The checks in this module replay, degree by degree, the finite identities
 that make the Rees algebra of m an almost Gorenstein graded ring:
@@ -23,13 +26,15 @@ separately instead of assuming one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+
+from .monomials import Monomial, MonomialIdeal
 
 __all__ = [
     "Pair",
     "SemigroupModule",
     "VeroneseInstance",
-    "veronese_instance",
     "verify_minimal_multiplicity",
     "verify_good_agg_claim",
     "verify_good_agg_parts",
@@ -41,9 +46,9 @@ Pair = tuple[int, int]
 
 def _check_pair(p: Pair) -> Pair:
     a, b = p
-    if a < 0 or b < 0:
-        raise ValueError(f"negative exponent pair {p}")
-    return (int(a), int(b))
+    if type(a) is not int or type(b) is not int or a < 0 or b < 0:
+        raise ValueError(f"exponent pair {p!r} needs two non-negative ints")
+    return (a, b)
 
 
 def _add(p: Pair, q: Pair) -> Pair:
@@ -58,24 +63,27 @@ class SemigroupModule:
     gens: frozenset[Pair]
 
     def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError(f"need r >= 1, got {self.r}")
+        if type(self.r) is not int or self.r < 1:
+            raise ValueError(f"need an int r >= 1, got {self.r!r}")
         object.__setattr__(self, "gens", frozenset(_check_pair(p) for p in self.gens))
 
-    def member(self, p: Pair) -> bool:
-        a, b = p
-        return any(
-            a >= qa and b >= qb and ((a - qa) + (b - qb)) % self.r == 0
-            for qa, qb in self.gens
-        )
+    @functools.cached_property
+    def _ideals(self) -> dict[int, MonomialIdeal]:
+        """Residue class of a + b mod r -> the ideal its generators span."""
+        classes: dict[int, list[Monomial]] = {}
+        for p in self.gens:
+            classes.setdefault(sum(p) % self.r, []).append(Monomial(p))
+        return {c: MonomialIdeal(2, gens) for c, gens in classes.items()}
 
-    def contains(self, other: "SemigroupModule") -> bool:
-        self._check_compatible(other)
-        return all(self.member(q) for q in other.gens)
+    def member(self, p: Pair) -> bool:
+        p = _check_pair(p)
+        ideal = self._ideals.get(sum(p) % self.r)
+        return ideal is not None and Monomial(p) in ideal
 
     def equals(self, other: "SemigroupModule") -> bool:
-        """Module equality via generator membership both ways."""
-        return self.contains(other) and other.contains(self)
+        """Module equality: the same ideal in every residue class."""
+        self._check_compatible(other)
+        return self._ideals == other._ideals
 
     def shift(self, p: Pair) -> "SemigroupModule":
         """Multiply by the single monomial p."""
@@ -107,6 +115,12 @@ class VeroneseInstance:
 
     r: int
 
+    def __post_init__(self) -> None:
+        if self.r <= 1:
+            raise ValueError(
+                f"need r >= 2: r = 1 is the regular ambient, where m is a parameter ideal (got {self.r})"
+            )
+
     @property
     def x(self) -> Pair:
         return (1, self.r - 1)
@@ -134,14 +148,6 @@ class VeroneseInstance:
         return SemigroupModule(
             self.r, frozenset((self.r - j, j) for j in range(1, self.r))
         )
-
-
-def veronese_instance(r: int) -> VeroneseInstance:
-    if r <= 1:
-        raise ValueError(
-            f"need r >= 2: r = 1 is the regular ambient, where m is a parameter ideal (got {r})"
-        )
-    return VeroneseInstance(r)
 
 
 def verify_minimal_multiplicity(inst: VeroneseInstance) -> bool:
@@ -198,7 +204,7 @@ def verify_good_agg_claim(inst: VeroneseInstance, ell: int) -> bool:
 
 def veronese_report(r: int, ell: int) -> dict:
     """Serializable outcome of every Veronese check for (r, ell)."""
-    inst = veronese_instance(r)
+    inst = VeroneseInstance(r)
     parts = verify_good_agg_parts(inst, ell)
     return {
         "r": r,

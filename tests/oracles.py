@@ -5,7 +5,8 @@ binomial coefficients by the additive recurrence; the enumeration oracles
 count exponent vectors by brute force; the membership colength walks every
 cell of the bounding box one by one; the almost Gorenstein inequality is
 restated in generator counts with its own tail exponent, and its gap as the
-telescoped sum with every term an independent math.comb.
+telescoped sum with every term an independent math.comb; Veronese module
+membership is the pairwise scan over the generators.
 """
 
 from __future__ import annotations
@@ -107,3 +108,22 @@ def telescoped_gap(d: int, ell: int) -> int:
     i = d - 2 - b * ell
     base = (b + 1) * ell
     return sum(math.comb(base + j, d - 2) - math.comb(base, d - 2) for j in range(i + 1, ell))
+
+
+def semigroup_member(r: int, gens, p: tuple[int, int]) -> bool:
+    """p lies in the degree-r Veronese module generated by gens.
+
+    Pairwise rule: p - q is componentwise non-negative with total degree
+    divisible by r for some generator q.
+    """
+    a, b = p
+    return any(
+        a >= qa and b >= qb and ((a - qa) + (b - qb)) % r == 0 for qa, qb in gens
+    )
+
+
+def semigroup_equal(r: int, a, b) -> bool:
+    """Two generator sets span the same module: each generator lies in the other."""
+    return all(semigroup_member(r, a, q) for q in b) and all(
+        semigroup_member(r, b, q) for q in a
+    )

@@ -22,10 +22,10 @@ from reesag.certificates import build_certificate_2dim, verify_claim_containment
 from reesag.classify import table
 from reesag.monomials import brute_colon, random_ideal, sufficient_colon_bound
 from reesag.veronese import (
+    VeroneseInstance,
     verify_good_agg_claim,
     verify_good_agg_parts,
     verify_minimal_multiplicity,
-    veronese_instance,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "table_10_9.csv"
@@ -185,7 +185,7 @@ def test_criterion_09_veronese_checks():
     start = time.perf_counter()
     bad = []
     for r in range(2, 7):
-        inst = veronese_instance(r)
+        inst = VeroneseInstance(r)
         if not verify_minimal_multiplicity(inst):
             bad.append((r, "multiplicity"))
         for ell in range(1, 5):

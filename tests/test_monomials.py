@@ -12,7 +12,6 @@ from reesag.monomials import (
     IdealFileError,
     brute_colon,
     format_ideal,
-    minimalize,
     parse_ideal,
     random_ideal,
     sufficient_colon_bound,
@@ -66,24 +65,22 @@ def test_monomial_str():
     assert str(Monomial((1, 0, 0, 0, 2))) == "x1*x5^2"
 
 
-def test_minimalize_drops_divisible():
+def test_ideal_drops_divisible_generators():
     assert ideal(1, (2,), (3,)) == ideal(1, (2,))
     assert ideal(2, (1, 0), (0, 1), (1, 1)) == ideal(2, (1, 0), (0, 1))
-    assert minimalize([], dim=2).is_zero
-    with pytest.raises(ValueError):
-        minimalize([])
+    assert MonomialIdeal(2, []).is_zero
 
 
-def test_minimalize_idempotent_order_insensitive():
+def test_ideal_idempotent_order_insensitive():
     rng = random.Random(11)
     for _ in range(50):
         gens = [
             Monomial(tuple(rng.randint(0, 4) for _ in range(3))) for _ in range(6)
         ]
-        reference = minimalize(gens)
-        assert minimalize(reference.gens) == reference
+        reference = MonomialIdeal(3, gens)
+        assert MonomialIdeal(3, reference.gens) == reference
         rng.shuffle(gens)
-        assert minimalize(gens) == reference
+        assert MonomialIdeal(3, gens) == reference
 
 
 def test_zero_and_unit_ideals():
@@ -209,7 +206,7 @@ def test_colength_matches_membership_oracle():
             pure = [0] * dim
             pure[k] = rng.randint(1, 4)
             gens.append(tuple(pure))
-        I = minimalize([Monomial(g) for g in gens])
+        I = MonomialIdeal(dim, [Monomial(g) for g in gens])
         if I.is_unit:
             continue  # unit ideal keeps no pure-power generators
         assert I.colength() == colength_by_membership([g.exponents for g in I.gens])
@@ -240,6 +237,22 @@ def test_multiplicity_of_maximal_powers_small(d, ell):
 
 def test_multiplicity_d5_single_cell():
     assert maximal_power(5, 2).multiplicity() == 32
+
+
+# For these ideals the Hilbert-Samuel function is not yet polynomial on the
+# window n = 1..d+1 that the finite difference samples, so multiplicity()
+# returns 124 and 48 (ROADMAP item 2).
+EARLY_WINDOW = pytest.mark.xfail(strict=True, reason="multiplicity() samples too early a window")
+
+
+@EARLY_WINDOW
+def test_multiplicity_x5_y5_z5_x2yz3():
+    assert ideal(3, (5, 0, 0), (0, 5, 0), (0, 0, 5), (2, 1, 3)).multiplicity() == 125
+
+
+@EARLY_WINDOW
+def test_multiplicity_x5_y5_z2_x2y3():
+    assert ideal(3, (5, 0, 0), (0, 5, 0), (0, 0, 2), (2, 3, 0)).multiplicity() == 50
 
 
 def test_ideal_file_roundtrip():
