@@ -12,9 +12,17 @@ plain-text ideal file format.
 Key choices:
 
 * exponents are plain Python ints (arbitrary precision, no overflow);
-  anything else, bool and numpy integers included, is refused;
-* product/power work on raw exponent tuples internally and only build
-  Monomial objects for the deduplicated results;
+  anything else, bool and numpy integers included, is refused, and so is a
+  dim, degree or power that is not exactly an int;
+* the per-pair work of products, intersections and colons runs on plain
+  exponent tuples: each pair is one ``tuple(map(...))`` (sum, max, or the
+  difference clipped at 0), the results are collected in a set, and a
+  Monomial is built only for each distinct result, never one per pair;
+* the antichain tests divisibility on tuples; in two variables it is the
+  staircase: sorted by (x, y), a pair is minimal iff its y is strictly
+  below every earlier y, so minimal generators sorted by x have strictly
+  decreasing y (Herzog-Hibi, GTM 260, ch. 1).  A dim-2 ideal caches that
+  staircase on first use, and membership is then one bisect on the xs;
 * colength fills a numpy box with a divisibility closure (a cumulative
   max along each axis) instead of testing membership cell by cell; numpy
   is imported on the first colength call, so nothing else pays its import;
@@ -25,8 +33,10 @@ Key choices:
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Iterator
@@ -91,7 +101,8 @@ class Monomial:
         return self.degree == 0
 
     def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
+        _check_same_dim(self.dim, other.dim)
+        return all(map(operator.le, self.exponents, other.exponents))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         _check_same_dim(self.dim, other.dim)
@@ -133,27 +144,46 @@ def _check_same_dim(a: int, b: int) -> None:
         raise ValueError(f"dimension mismatch: {a} vs {b}")
 
 
-def _mono_sort_key(m: Monomial) -> tuple:
-    # degree first, then reverse lexicographic so x^2 prints before x*y before y^2
-    return (m.degree, tuple(-e for e in m.exponents))
+def _check_int(name: str, value: object, least: int) -> None:
+    """Refuse a size that is not exactly an int (the exponent rule) or is below least."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
 
 
 def _antichain(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
     """Keep only divisibility-minimal elements, sorted canonically.
 
-    Processed one degree class at a time: a monomial can only be divided by
-    a distinct monomial of strictly smaller degree, so candidates of equal
-    degree never eliminate each other and the inner scan runs only over
-    already-kept smaller-degree generators.
+    Works on the distinct exponent tuples.  In two variables, sorted by
+    (x, y), a pair is divisible by an earlier one iff its y is not strictly
+    below the running minimum of the earlier ys.  Otherwise one degree class
+    at a time: a monomial can only be divided by a distinct monomial of
+    strictly smaller degree, so the inner scan runs only over already-kept
+    smaller-degree generators.
     """
-    by_degree: dict[int, list[Monomial]] = {}
-    for m in set(monos):
-        by_degree.setdefault(m.degree, []).append(m)
-    kept: list[Monomial] = []
-    for deg in sorted(by_degree):
-        survivors = [m for m in by_degree[deg] if not any(g.divides(m) for g in kept)]
-        kept.extend(survivors)
-    return tuple(sorted(kept, key=_mono_sort_key))
+    by_exps = {m.exponents: m for m in monos}
+    if not by_exps:
+        return ()
+    exps = list(by_exps)
+    if len(exps[0]) == 2:
+        kept = []
+        for e in sorted(exps):
+            if not kept or e[1] < kept[-1][1]:
+                kept.append(e)
+    else:
+        le = operator.le
+        by_degree: dict[int, list[tuple[int, ...]]] = {}
+        for e in exps:
+            by_degree.setdefault(sum(e), []).append(e)
+        kept = []
+        for deg in sorted(by_degree):
+            kept.extend([e for e in by_degree[deg] if not any(all(map(le, k, e)) for k in kept)])
+    # canonical order: degree first, then lexicographically descending, so
+    # x^2 prints before x*y before y^2
+    kept.sort(reverse=True)
+    kept.sort(key=sum)
+    return tuple(by_exps[e] for e in kept)
 
 
 class MonomialIdeal:
@@ -164,16 +194,16 @@ class MonomialIdeal:
     the unit ideal.
     """
 
-    __slots__ = ("dim", "gens")
+    __slots__ = ("dim", "gens", "_stair")
 
     def __init__(self, dim: int, gens: Iterable[Monomial] = ()):
-        if dim < 1:
-            raise ValueError(f"need dim >= 1, got {dim}")
+        _check_int("dim", dim, 1)
         gens = tuple(gens)
         for g in gens:
-            _check_same_dim(g.dim, dim)
+            _check_same_dim(len(g.exponents), dim)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "gens", _antichain(gens))
+        object.__setattr__(self, "_stair", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MonomialIdeal is immutable")
@@ -205,9 +235,26 @@ class MonomialIdeal:
 
     # -- membership --------------------------------------------------------
 
+    def _staircase(self) -> tuple[list[int], list[int]]:
+        """A dim-2 ideal's generators as xs ascending and ys strictly descending; built once."""
+        if self._stair is None:
+            pairs = sorted(g.exponents for g in self.gens)
+            object.__setattr__(self, "_stair", ([x for x, _ in pairs], [y for _, y in pairs]))
+        return self._stair
+
+    def _has(self, e: tuple[int, ...]) -> bool:
+        """Membership of the monomial with exponent tuple e (of this ideal's dim)."""
+        if self.dim == 2:
+            # the generator with the largest x <= e[0] has the smallest y among those
+            xs, ys = self._staircase()
+            i = bisect.bisect_right(xs, e[0])
+            return i > 0 and ys[i - 1] <= e[1]
+        le = operator.le
+        return any(all(map(le, g.exponents, e)) for g in self.gens)
+
     def member(self, mono: Monomial) -> bool:
         _check_same_dim(mono.dim, self.dim)
-        return any(g.divides(mono) for g in self.gens)
+        return self._has(mono.exponents)
 
     def __contains__(self, mono: Monomial) -> bool:
         return self.member(mono)
@@ -215,7 +262,8 @@ class MonomialIdeal:
     def contains(self, other: "MonomialIdeal") -> bool:
         """Ideal containment other subset-of self."""
         _check_same_dim(other.dim, self.dim)
-        return all(self.member(g) for g in other.gens)
+        has = self._has
+        return all(has(g.exponents) for g in other.gens)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -223,20 +271,18 @@ class MonomialIdeal:
         _check_same_dim(other.dim, self.dim)
         return MonomialIdeal(self.dim, self.gens + other.gens)
 
-    def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
+    def _pairwise(self, other: "MonomialIdeal", op) -> "MonomialIdeal":
+        """The ideal generated by op, exponent by exponent, over all pairs of generators."""
         _check_same_dim(other.dim, self.dim)
-        if self.is_zero or other.is_zero:
-            return MonomialIdeal(self.dim)
-        raw = {
-            tuple(a + b for a, b in zip(g.exponents, h.exponents))
-            for g in self.gens
-            for h in other.gens
-        }
-        return MonomialIdeal(self.dim, (Monomial(t) for t in raw))
+        right = [h.exponents for h in other.gens]
+        raw = {tuple(map(op, g.exponents, b)) for g in self.gens for b in right}
+        return MonomialIdeal(self.dim, map(Monomial, raw))
+
+    def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        return self._pairwise(other, operator.add)
 
     def __pow__(self, n: int) -> "MonomialIdeal":
-        if n < 0:
-            raise ValueError(f"need power n >= 0, got {n}")
+        _check_int("power n", n, 0)
         if n == 0:
             return MonomialIdeal(self.dim, (Monomial.unit(self.dim),))
         out = self
@@ -245,26 +291,29 @@ class MonomialIdeal:
         return out
 
     def intersection(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        _check_same_dim(other.dim, self.dim)
-        return MonomialIdeal(
-            self.dim, (g.lcm(h) for g in self.gens for h in other.gens)
-        )
+        return self._pairwise(other, max)
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """The colon ideal self : other = {u : u*other inside self}.
 
         Intersection over the generators m of other of the single-monomial
-        colons self : (m), each generated by g.colon_by(m).
+        colons self : (m), each generated by the exponent differences g - m
+        clipped at 0 (g.colon_by(m) for each generator g of self).
         """
         _check_same_dim(other.dim, self.dim)
         if other.is_zero:
             raise ValueError("colon by the zero ideal is the whole ring; not represented")
         if self.is_zero:
             return self
-        singles = (
-            MonomialIdeal(self.dim, (g.colon_by(m) for g in self.gens)) for m in other.gens
+        left = [g.exponents for g in self.gens]
+
+        def single(m: tuple[int, ...]) -> MonomialIdeal:
+            raw = {tuple(a - b if a > b else 0 for a, b in zip(e, m)) for e in left}
+            return MonomialIdeal(self.dim, map(Monomial, raw))
+
+        return functools.reduce(
+            MonomialIdeal.intersection, (single(m.exponents) for m in other.gens)
         )
-        return functools.reduce(MonomialIdeal.intersection, singles)
 
     # -- numerics ----------------------------------------------------------
 
@@ -329,15 +378,13 @@ class MonomialIdeal:
 
 def maximal_power(dim: int, degree: int) -> MonomialIdeal:
     """The power m^degree of the maximal ideal: all monomials of that degree."""
-    if dim < 1:
-        raise ValueError(f"need dim >= 1, got {dim}")
-    if degree < 0:
-        raise ValueError(f"need degree >= 0, got {degree}")
     return MonomialIdeal(dim, monomials_of_degree(dim, degree))
 
 
 def monomials_of_degree(dim: int, degree: int) -> list[Monomial]:
     """All exponent vectors of the given total degree (stars and bars)."""
+    _check_int("dim", dim, 1)
+    _check_int("degree", degree, 0)
     out = []
     for cuts in itertools.combinations(range(degree + dim - 1), dim - 1):
         bounds = (-1,) + cuts + (degree + dim - 1,)

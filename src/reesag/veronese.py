@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .monomials import Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal, _check_int
 
 __all__ = [
     "Pair",
@@ -116,6 +116,8 @@ class VeroneseInstance:
     r: int
 
     def __post_init__(self) -> None:
+        if type(self.r) is not int:
+            raise ValueError(f"r must be an int, got {self.r!r}")
         if self.r <= 1:
             raise ValueError(
                 f"need r >= 2: r = 1 is the regular ambient, where m is a parameter ideal (got {self.r})"
@@ -138,8 +140,7 @@ class VeroneseInstance:
 
     def maximal_power(self, k: int) -> SemigroupModule:
         """m^k, generated by every monomial of total degree k*r."""
-        if k < 0:
-            raise ValueError(f"need k >= 0, got {k}")
+        _check_int("k", k, 0)
         deg = k * self.r
         return SemigroupModule(self.r, frozenset((deg - j, j) for j in range(deg + 1)))
 
@@ -166,8 +167,7 @@ def verify_good_agg_parts(inst: VeroneseInstance, ell: int) -> dict[str, bool]:
     the membership x not in m K, and the example-display variant
     m K = y m K + x m (true only at r = 2).
     """
-    if ell < 1:
-        raise ValueError(f"need ell >= 1, got {ell}")
+    _check_int("ell", ell, 1)
     m = inst.maximal_ideal()
     K = inst.canonical()
     x, y = inst.x, inst.y

@@ -6,7 +6,9 @@ count exponent vectors by brute force; the membership colength walks every
 cell of the bounding box one by one; the almost Gorenstein inequality is
 restated in generator counts with its own tail exponent, and its gap as the
 telescoped sum with every term an independent math.comb; Veronese module
-membership is the pairwise scan over the generators.
+membership is the pairwise scan over the generators; the engine's minimal
+generators, products, intersections and membership are pairwise scans over
+exponent tuples.
 """
 
 from __future__ import annotations
@@ -127,3 +129,32 @@ def semigroup_equal(r: int, a, b) -> bool:
     return all(semigroup_member(r, a, q) for q in b) and all(
         semigroup_member(r, b, q) for q in a
     )
+
+
+def divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def member(gens, e: tuple[int, ...]) -> bool:
+    """e lies in the monomial ideal generated by gens: some generator divides it."""
+    return any(divides(g, e) for g in gens)
+
+
+def minimal_gens(gens) -> list[tuple[int, ...]]:
+    """The distinct generators that no other distinct generator divides, in canonical order.
+
+    Canonical order: degree first, then lexicographically descending.
+    """
+    distinct = {tuple(g) for g in gens}
+    kept = [g for g in distinct if not any(h != g and divides(h, g) for h in distinct)]
+    return sorted(kept, key=lambda g: (sum(g), [-x for x in g]))
+
+
+def product_gens(a, b) -> list[tuple[int, ...]]:
+    """Minimal generators of the product: every pairwise sum of generators."""
+    return minimal_gens([tuple(x + y for x, y in zip(p, q)) for p in a for q in b])
+
+
+def lcm_gens(a, b) -> list[tuple[int, ...]]:
+    """Minimal generators of the intersection: every pairwise lcm of generators."""
+    return minimal_gens([tuple(max(x, y) for x, y in zip(p, q)) for p in a for q in b])

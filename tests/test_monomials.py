@@ -4,14 +4,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import colength_by_membership
+from oracles import colength_by_membership, lcm_gens, member, minimal_gens, product_gens
 from reesag import Monomial, MonomialIdeal, maximal_power
 from reesag.binomials import colength_power, mu_power
 from reesag.monomials import (
     IdealFileError,
     brute_colon,
     format_ideal,
+    monomials_of_degree,
     parse_ideal,
     random_ideal,
     sufficient_colon_bound,
@@ -31,6 +34,52 @@ def test_monomial_basics():
     assert Monomial((1, 2)) * Monomial((3, 0)) == Monomial((4, 2))
     assert Monomial((3, 1)).lcm(Monomial((1, 2))) == Monomial((3, 2))
     assert Monomial((3, 1)).colon_by(Monomial((1, 2))) == Monomial((2, 0))
+
+
+def test_divides_refuses_dimension_mismatch():
+    # without the check, zip truncates the longer vector and both read True
+    with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+        Monomial((5, 0, 0)).divides(Monomial((5, 0)))
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        Monomial((1, 2)).divides(Monomial((1, 2, 3)))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: MonomialIdeal(2.5, []), "dim"),
+        (lambda: MonomialIdeal(2.0, []), "dim"),
+        (lambda: MonomialIdeal(True, [Monomial((1,))]), "dim"),
+        (lambda: maximal_power(True, 2), "dim"),
+        (lambda: maximal_power(2.0, 3), "dim"),
+        (lambda: maximal_power(2, 2.0), "degree"),
+        (lambda: maximal_power(2, False), "degree"),
+        (lambda: maximal_power(2, 1) ** True, "power n"),
+        (lambda: maximal_power(2, 1) ** 2.0, "power n"),
+        (lambda: maximal_power(2, 1) ** np.int64(2), "power n"),
+        (lambda: monomials_of_degree(True, 2), "dim"),
+        (lambda: monomials_of_degree(2, 2.0), "degree"),
+    ],
+    ids=[
+        "ideal-dim-float", "ideal-dim-integral-float", "ideal-dim-bool", "power-dim-bool",
+        "power-dim-float", "power-degree-float", "power-degree-bool", "pow-bool", "pow-float",
+        "pow-numpy-int64", "enumeration-dim-bool", "enumeration-degree-float",
+    ],
+)
+def test_engine_refuses_non_int_sizes(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+        call()
+
+
+def test_engine_sizes_keep_their_range_messages():
+    with pytest.raises(ValueError, match="^need dim >= 1, got 0$"):
+        MonomialIdeal(0)
+    with pytest.raises(ValueError, match="^need degree >= 0, got -1$"):
+        maximal_power(2, -1)
+    with pytest.raises(ValueError, match="^need dim >= 1, got 0$"):
+        maximal_power(0, 2)
+    with pytest.raises(ValueError, match="^need power n >= 0, got -1$"):
+        maximal_power(2, 1) ** -1
 
 
 def test_monomial_rejects_bad_input():
@@ -274,3 +323,138 @@ def test_ideal_file_parsing_rules():
         parse_ideal("2 0\n1 0 0\n")
     with pytest.raises(IdealFileError, match="negative"):
         parse_ideal("-1 0\n")
+
+
+# -- differential test against the pairwise oracles --------------------------
+
+# exponent ranges shrink with the dimension so that brute_colon's search stays small
+_MAX_EXP = {1: 9, 2: 8, 3: 3, 4: 2}
+
+
+def _exps(gens):
+    return [g.exponents for g in gens]
+
+
+@st.composite
+def gen_lists(draw, dim):
+    """Exponent tuples of one ideal: zero, unit, or random with duplicates, ties and pure powers."""
+    shape = draw(st.sampled_from(["zero", "unit", "gens", "gens", "gens", "gens", "gens"]))
+    if shape == "zero":
+        return []
+    exps = st.tuples(*[st.integers(0, _MAX_EXP[dim])] * dim)
+    gens = draw(st.lists(exps, min_size=1, max_size=6))
+    if shape == "unit":
+        gens.append((0,) * dim)
+    if draw(st.booleans()):  # duplicates
+        gens += draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3))
+    if draw(st.booleans()):  # ties in the first and in the last exponent
+        first, last = gens[0][0], gens[-1][-1]
+        gens.append((first,) + draw(exps)[1:])
+        gens.append(draw(exps)[:-1] + (last,))
+    for axis in range(dim):  # pure powers, sometimes two on one axis
+        for _ in range(draw(st.integers(0, 2))):
+            pure = [0] * dim
+            pure[axis] = draw(st.integers(1, _MAX_EXP[dim]))
+            gens.append(tuple(pure))
+    return gens
+
+
+@st.composite
+def ideal_pairs(draw):
+    dim = draw(st.sampled_from([1, 2, 2, 2, 2, 3, 4]))
+    return dim, draw(gen_lists(dim)), draw(gen_lists(dim))
+
+
+def _probes(dim, gens):
+    """Each generator and its neighbours one step up or down in each exponent."""
+    out = set()
+    for g in gens:
+        out.add(g)
+        for k in range(dim):
+            for step in (-1, 1):
+                p = list(g)
+                p[k] += step
+                if p[k] >= 0:
+                    out.add(tuple(p))
+    return sorted(out)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=ideal_pairs())
+def test_engine_matches_pairwise_oracles(case):
+    dim, a, b = case
+    I = MonomialIdeal(dim, map(Monomial, a))
+    J = MonomialIdeal(dim, map(Monomial, b))
+    assert _exps(I.gens) == minimal_gens(a)
+    assert _exps(J.gens) == minimal_gens(b)
+    for p in _probes(dim, a + b):
+        assert I.member(Monomial(p)) == member(a, p)
+        assert (Monomial(p) in J) == member(b, p)
+    assert I.contains(J) == all(member(a, q) for q in b)
+    assert J.contains(I) == all(member(b, q) for q in a)
+    assert _exps((I * J).gens) == product_gens(a, b)
+    assert _exps(I.intersection(J).gens) == lcm_gens(a, b)
+    if J.is_zero:
+        with pytest.raises(ValueError, match="colon by the zero ideal"):
+            I.colon(J)
+    else:
+        assert I.colon(J) == brute_colon(I, J, sufficient_colon_bound(I))
+
+
+# -- Monomial objects are built once per distinct result, never per pair -----
+
+
+def _built_during(monkeypatch, action):
+    calls = []
+    original = Monomial.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        original(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Monomial, "__post_init__", counting)
+        action()
+    return len(calls)
+
+
+def _clip(g, m):
+    return tuple(max(x - y, 0) for x, y in zip(g, m))
+
+
+def _lcm(p, q):
+    return tuple(map(max, p, q))
+
+
+def test_product_builds_one_monomial_per_distinct_sum(monkeypatch):
+    m3, m2 = maximal_power(4, 3), maximal_power(4, 2)
+    pairs = [(g.exponents, h.exponents) for g in m3.gens for h in m2.gens]
+    distinct = {tuple(map(sum, zip(p, q))) for p, q in pairs}
+    assert (len(pairs), len(distinct)) == (200, 56)
+    assert _built_during(monkeypatch, lambda: m3 * m2) == len(distinct)
+
+
+def test_intersection_builds_one_monomial_per_distinct_lcm(monkeypatch):
+    I, J = maximal_power(3, 2), maximal_power(3, 1)
+    distinct = {_lcm(g.exponents, h.exponents) for g in I.gens for h in J.gens}
+    assert (I.num_gens() * J.num_gens(), len(distinct)) == (18, 13)
+    assert _built_during(monkeypatch, lambda: I.intersection(J)) == len(distinct)
+
+
+def test_colon_builds_one_monomial_per_distinct_result(monkeypatch):
+    # colon = intersection over the divisor's generators m, in order, of the
+    # single colons generated by the clipped differences g - m
+    I = ideal(3, (2, 1, 0), (2, 0, 1), (0, 2, 2), (3, 3, 0))
+    J = ideal(3, (3, 1, 1), (0, 2, 2))
+    a = [g.exponents for g in I.gens]
+    singles = [{_clip(g, m.exponents) for g in a} for m in J.gens]
+    expected = sum(map(len, singles))
+    acc = minimal_gens(singles[0])
+    for single in singles[1:]:
+        raw = {_lcm(p, q) for p in acc for q in minimal_gens(single)}
+        expected += len(raw)
+        acc = minimal_gens(raw)
+    assert I.num_gens() * J.num_gens() > expected  # the pairs collide
+    assert _built_during(monkeypatch, lambda: I.colon(J)) == expected
+    principal = ideal(3, (3, 1, 1))
+    assert _built_during(monkeypatch, lambda: I.colon(principal)) == len(singles[0]) < I.num_gens()

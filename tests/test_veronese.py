@@ -154,6 +154,23 @@ def test_good_agg_parts_sweep(r, ell):
     assert verify_good_agg_claim(VeroneseInstance(r), ell)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: VeroneseInstance(2.0), "r"),
+        (lambda: VeroneseInstance(True), "r"),
+        (lambda: veronese_report(2.5, 1), "r"),
+        (lambda: veronese_report(3, 2.0), "ell"),
+        (lambda: veronese_report(3, True), "ell"),
+        (lambda: VeroneseInstance(3).maximal_power(1.0), "k"),
+    ],
+    ids=["instance-r-float", "instance-r-bool", "report-r", "report-ell", "report-ell-bool", "power-k"],
+)
+def test_veronese_refuses_non_int_sizes(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+        call()
+
+
 def test_parts_rejects_bad_ell():
     with pytest.raises(ValueError):
         verify_good_agg_parts(VeroneseInstance(2), 0)
