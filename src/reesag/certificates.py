@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantBreach
-from .monomials import Monomial, MonomialIdeal, maximal_power
+from .monomials import Monomial, MonomialIdeal, _check_int, maximal_power
 
 __all__ = [
     "Certificate2D",
@@ -65,10 +65,9 @@ def build_certificate_2dim(ell: int) -> Certificate2D:
     m^(ell-1).  ell = 1 is rejected: m itself is a parameter ideal there and
     the stable-ideal construction does not apply.
     """
-    if ell == 1:
+    if type(ell) is int and ell == 1:
         raise ValueError("ell = 1 makes m^ell a parameter ideal; no certificate exists")
-    if ell < 1:
-        raise ValueError(f"need ell >= 2, got {ell}")
+    _check_int("ell", ell, 2)
     maximal = maximal_power(2, 1)
     ideal = maximal_power(2, ell)
     pure = MonomialIdeal(2, (Monomial((ell, 0)), Monomial((0, ell))))
@@ -91,8 +90,7 @@ def verify_claim_containment(cert: Certificate2D, n_max: int) -> bool:
     The two certificate identities force every higher degree, so a failure
     at n >= 2 with degrees 0 and 1 passing is an engine bug and raises.
     """
-    if n_max < 0:
-        raise ValueError(f"need n_max >= 0, got {n_max}")
+    _check_int("n_max", n_max, 0)
     maximal = maximal_power(2, 1)
     ideal = maximal_power(2, cert.ell)
     J, f, g, h = cert.J, cert.f, cert.g, cert.h

@@ -14,18 +14,20 @@ Key choices:
 * exponents are plain Python ints (arbitrary precision, no overflow);
   anything else, bool and numpy integers included, is refused, and so is a
   dim, degree or power that is not exactly an int;
-* the per-pair work of products, intersections and colons runs on plain
-  exponent tuples: each pair is one ``tuple(map(...))`` (sum, max, or the
-  difference clipped at 0), the results are collected in a set, and a
-  Monomial is built only for each distinct result, never one per pair;
+* a product packs each exponent tuple into one int, so each pair is one
+  int addition, and unpacks the distinct sums with divmod; intersections
+  and colons form each pair as one ``tuple(map(...))`` (max, or the
+  difference clipped at 0).  A Monomial is built only for each distinct
+  result, never one per pair;
 * the antichain tests divisibility on tuples; in two variables it is the
   staircase: sorted by (x, y), a pair is minimal iff its y is strictly
   below every earlier y, so minimal generators sorted by x have strictly
   decreasing y (Herzog-Hibi, GTM 260, ch. 1).  A dim-2 ideal caches that
   staircase on first use, and membership is then one bisect on the xs;
-* colength fills a numpy box with a divisibility closure (a cumulative
-  max along each axis) instead of testing membership cell by cell; numpy
-  is imported on the first colength call, so nothing else pays its import;
+* colength drops the longest side of the box and sums over the other d-1
+  sides, with a cumulative min along each axis in numpy instead of a
+  membership test per cell; numpy is imported on the first colength call
+  in dim >= 2, so nothing else pays its import;
 * multiplicity is the d-th forward difference of n -> colength(I^n)
   sampled at n = 1 .. d+1, exact because that function is eventually a
   degree-d polynomial with integer values.
@@ -66,7 +68,10 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        exps = tuple(self.exponents)
+        exps = self.exponents
+        if type(exps) is not tuple:
+            exps = tuple(exps)
+            object.__setattr__(self, "exponents", exps)
         if not exps:
             raise ValueError("a monomial needs at least one variable")
         for e in exps:
@@ -74,7 +79,6 @@ class Monomial:
                 raise ValueError(f"exponent {e!r} is not an int in {exps!r}")
             if e < 0:
                 raise ValueError(f"negative exponent in {exps}")
-        object.__setattr__(self, "exponents", exps)
 
     @classmethod
     def unit(cls, dim: int) -> "Monomial":
@@ -152,6 +156,27 @@ def _check_int(name: str, value: object, least: int) -> None:
         raise ValueError(f"need {name} >= {least}, got {value}")
 
 
+def _distinct_sums(a: list[tuple[int, ...]], b: list[tuple[int, ...]], base: int) -> list[tuple[int, ...]]:
+    """The distinct exponent-wise sums p + q over p in a, q in b (nonempty, one length).
+
+    Each tuple is packed into one int in base, coordinate 0 most
+    significant.  base exceeds every coordinate of every sum, so no field
+    carries and the packed sum is the sum of the packed ints.
+    """
+    dim = len(b[0])
+    weights = [base**k for k in range(dim - 1, -1, -1)]
+    pa = [sum(map(operator.mul, e, weights)) for e in a]
+    pb = [sum(map(operator.mul, e, weights)) for e in b]
+    out = []
+    for v in {x + y for x in pa for y in pb}:
+        e = [0] * dim
+        for k in range(dim - 1, 0, -1):
+            v, e[k] = divmod(v, base)
+        e[0] = v
+        out.append(tuple(e))
+    return out
+
+
 def _antichain(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
     """Keep only divisibility-minimal elements, sorted canonically.
 
@@ -200,7 +225,8 @@ class MonomialIdeal:
         _check_int("dim", dim, 1)
         gens = tuple(gens)
         for g in gens:
-            _check_same_dim(len(g.exponents), dim)
+            if len(g.exponents) != dim:
+                _check_same_dim(len(g.exponents), dim)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "gens", _antichain(gens))
         object.__setattr__(self, "_stair", None)
@@ -271,15 +297,14 @@ class MonomialIdeal:
         _check_same_dim(other.dim, self.dim)
         return MonomialIdeal(self.dim, self.gens + other.gens)
 
-    def _pairwise(self, other: "MonomialIdeal", op) -> "MonomialIdeal":
-        """The ideal generated by op, exponent by exponent, over all pairs of generators."""
-        _check_same_dim(other.dim, self.dim)
-        right = [h.exponents for h in other.gens]
-        raw = {tuple(map(op, g.exponents, b)) for g in self.gens for b in right}
-        return MonomialIdeal(self.dim, map(Monomial, raw))
-
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        return self._pairwise(other, operator.add)
+        _check_same_dim(other.dim, self.dim)
+        if not self.gens or not other.gens:
+            return MonomialIdeal(self.dim)
+        # in canonical order the last generator has the largest degree
+        base = 1 + sum(self.gens[-1].exponents) + sum(other.gens[-1].exponents)
+        sums = _distinct_sums([g.exponents for g in self.gens], [h.exponents for h in other.gens], base)
+        return MonomialIdeal(self.dim, map(Monomial, sums))
 
     def __pow__(self, n: int) -> "MonomialIdeal":
         _check_int("power n", n, 0)
@@ -291,7 +316,10 @@ class MonomialIdeal:
         return out
 
     def intersection(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        return self._pairwise(other, max)
+        _check_same_dim(other.dim, self.dim)
+        right = [h.exponents for h in other.gens]
+        raw = {tuple(map(max, g.exponents, b)) for g in self.gens for b in right}
+        return MonomialIdeal(self.dim, map(Monomial, raw))
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """The colon ideal self : other = {u : u*other inside self}.
@@ -322,38 +350,51 @@ class MonomialIdeal:
 
         An ideal here is m-primary iff some pure power of every variable is
         a generator; those pure powers bound the box of candidate standard
-        monomials.  The box is swept with numpy: mark the generators inside,
-        take a cumulative max along each axis (marking every multiple), and
-        count the cells left unmarked.
+        monomials.  Drop the longest side: above a cell u of the other
+        sides lie t(u) standard monomials, t(u) the least exponent on the
+        dropped axis of a generator whose other exponents are <= u.  Each
+        generator inside sets its cell, a cumulative min along each axis
+        spreads it upward, and the colength is the sum of t.
         """
         if self.is_unit:
             return 0
-        box = []
-        for k in range(self.dim):
-            pure = [
-                g.exponents[k]
-                for g in self.gens
-                if g.exponents[k] > 0 and g.degree == g.exponents[k]
-            ]
-            if not pure:
-                raise ValueError(
-                    f"not m-primary: no pure power of variable index {k} among the generators"
-                )
-            box.append(min(pure))
+        dim = self.dim
+        box = [0] * dim
+        for g in self.gens:
+            e = g.exponents
+            if e.count(0) == dim - 1:
+                side = max(e)
+                box[e.index(side)] = side
+        if 0 in box:
+            raise ValueError(
+                f"not m-primary: no pure power of variable index {box.index(0)} among the generators"
+            )
         cells = 1
         for side in box:
             cells *= side
         if cells > _COLENGTH_CELL_CAP:
             raise ValueError(f"colength box has {cells} cells; refusing beyond {_COLENGTH_CELL_CAP}")
+        if dim == 1:
+            return box[0]
+        top = max(box)
+        drop = box.index(top)
+        sides = box[:drop] + box[drop + 1 :]
+        lowest: dict[tuple[int, ...], int] = {}
+        for g in self.gens:
+            e = g.exponents
+            h = e[drop]
+            if h < top:
+                u = e[:drop] + e[drop + 1 :]
+                if all(map(operator.lt, u, sides)) and h < lowest.get(u, top):
+                    lowest[u] = h
         import numpy as np
 
-        marked = np.zeros(tuple(box), dtype=np.uint8)
-        inside = [g.exponents for g in self.gens if all(e < s for e, s in zip(g.exponents, box))]
-        if inside:
-            marked[tuple(np.array(inside, dtype=np.int64).T)] = 1
-        for axis in range(self.dim):
-            np.maximum.accumulate(marked, axis=axis, out=marked)
-        return int(marked.size - int(marked.sum()))
+        t = np.full(sides, top, dtype=np.int64)
+        if lowest:
+            t[tuple(zip(*lowest))] = list(lowest.values())
+        for axis in range(dim - 1):
+            np.minimum.accumulate(t, axis=axis, out=t)
+        return int(t.sum())
 
     def multiplicity(self) -> int:
         """Hilbert-Samuel multiplicity of an m-primary ideal.
@@ -406,6 +447,7 @@ def brute_colon(ideal: MonomialIdeal, other: MonomialIdeal, degree_bound: int) -
     so its degree is always a sufficient bound.
     """
     _check_same_dim(other.dim, ideal.dim)
+    _check_int("degree_bound", degree_bound, 0)
     if other.is_zero:
         raise ValueError("colon by the zero ideal is the whole ring; not represented")
     found = [

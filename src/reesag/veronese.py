@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .monomials import Monomial, MonomialIdeal, _check_int
+from .monomials import Monomial, MonomialIdeal, _check_int, _distinct_sums
 
 __all__ = [
     "Pair",
@@ -92,9 +92,10 @@ class SemigroupModule:
 
     def times(self, other: "SemigroupModule") -> "SemigroupModule":
         self._check_compatible(other)
-        return SemigroupModule(
-            self.r, frozenset(_add(p, q) for p in self.gens for q in other.gens)
-        )
+        if not self.gens or not other.gens:
+            return SemigroupModule(self.r, frozenset())
+        base = 1 + max(map(sum, self.gens)) + max(map(sum, other.gens))
+        return SemigroupModule(self.r, frozenset(_distinct_sums(list(self.gens), list(other.gens), base)))
 
     def union(self, other: "SemigroupModule") -> "SemigroupModule":
         """Module sum."""

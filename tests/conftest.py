@@ -1,4 +1,11 @@
-"""Shared pytest wiring: surface the acceptance verdict lines in the summary."""
+"""Shared pytest wiring: one hypothesis profile, and the acceptance verdict lines in the summary."""
+
+from hypothesis import settings
+
+# every property test draws the same examples on every run and has no time
+# limit per example; a test sets only its own max_examples
+settings.register_profile("reesag", derandomize=True, deadline=None)
+settings.load_profile("reesag")
 
 acceptance_lines: list[str] = []
 

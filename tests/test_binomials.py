@@ -119,7 +119,7 @@ def test_telescoped_equals_direct_on_sweep():
             assert ineq_gap_telescoped(d, ell) == ineq_sides(d, ell).gap, (d, ell)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(d=st.integers(3, 1500), ell=st.integers(2, 400))
 def test_telescoped_recurrence_matches_oracle_and_direct(d, ell):
     assert ineq_gap_telescoped(d, ell) == telescoped_gap(d, ell) == ineq_sides(d, ell).gap

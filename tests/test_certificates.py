@@ -1,5 +1,6 @@
 """Dimension-two certificates: explicit elements, identities, containment."""
 
+import numpy as np
 import pytest
 
 from reesag import Monomial, maximal_power
@@ -46,3 +47,31 @@ def test_certificate_as_dict():
     assert (d["f"], d["g"], d["h"]) == ("x", "x^3", "y^2")
     assert d["J"] == [[2, 0], [1, 1], [0, 2]]
     assert d["identities"] == {"A": True, "B": True}
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: build_certificate_2dim(3.0), "ell"),
+        (lambda: build_certificate_2dim(True), "ell"),
+        (lambda: build_certificate_2dim(np.int64(3)), "ell"),
+        (lambda: verify_claim_containment(build_certificate_2dim(2), 2.5), "n_max"),
+        (lambda: verify_claim_containment(build_certificate_2dim(2), 2.0), "n_max"),
+        (lambda: verify_claim_containment(build_certificate_2dim(2), True), "n_max"),
+    ],
+    ids=["ell-float", "ell-bool", "ell-numpy-int64", "n_max-float", "n_max-integral-float", "n_max-bool"],
+)
+def test_certificate_arguments_must_be_ints(call, name):
+    # each was refused naming another argument, with the ell = 1 message, or
+    # by a bare TypeError inside range()
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+        call()
+
+
+def test_certificate_arguments_keep_their_range_messages():
+    with pytest.raises(ValueError, match="^ell = 1 makes m\\^ell a parameter ideal; no certificate exists$"):
+        build_certificate_2dim(1)
+    with pytest.raises(ValueError, match="^need ell >= 2, got 0$"):
+        build_certificate_2dim(0)
+    with pytest.raises(ValueError, match="^need n_max >= 0, got -1$"):
+        verify_claim_containment(build_certificate_2dim(2), -1)

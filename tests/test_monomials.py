@@ -1,6 +1,7 @@
 """Monomial engine: arithmetic, colon vs brute force, colength, multiplicity."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,11 +60,14 @@ def test_divides_refuses_dimension_mismatch():
         (lambda: maximal_power(2, 1) ** np.int64(2), "power n"),
         (lambda: monomials_of_degree(True, 2), "dim"),
         (lambda: monomials_of_degree(2, 2.0), "degree"),
+        (lambda: brute_colon(maximal_power(2, 2), maximal_power(2, 1), 2.0), "degree_bound"),
+        (lambda: brute_colon(maximal_power(2, 2), maximal_power(2, 1), True), "degree_bound"),
     ],
     ids=[
         "ideal-dim-float", "ideal-dim-integral-float", "ideal-dim-bool", "power-dim-bool",
         "power-dim-float", "power-degree-float", "power-degree-bool", "pow-bool", "pow-float",
         "pow-numpy-int64", "enumeration-dim-bool", "enumeration-degree-float",
+        "brute-colon-bound-float", "brute-colon-bound-bool",
     ],
 )
 def test_engine_refuses_non_int_sizes(call, name):
@@ -80,6 +84,12 @@ def test_engine_sizes_keep_their_range_messages():
         maximal_power(0, 2)
     with pytest.raises(ValueError, match="^need power n >= 0, got -1$"):
         maximal_power(2, 1) ** -1
+
+
+def test_brute_colon_refuses_a_negative_bound():
+    # it used to return the zero ideal, the empty truncation
+    with pytest.raises(ValueError, match="^need degree_bound >= 0, got -1$"):
+        brute_colon(maximal_power(2, 2), maximal_power(2, 1), -1)
 
 
 def test_monomial_rejects_bad_input():
@@ -379,7 +389,7 @@ def _probes(dim, gens):
     return sorted(out)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(case=ideal_pairs())
 def test_engine_matches_pairwise_oracles(case):
     dim, a, b = case
@@ -458,3 +468,112 @@ def test_colon_builds_one_monomial_per_distinct_result(monkeypatch):
     assert _built_during(monkeypatch, lambda: I.colon(J)) == expected
     principal = ideal(3, (3, 1, 1))
     assert _built_during(monkeypatch, lambda: I.colon(principal)) == len(singles[0]) < I.num_gens()
+
+
+# -- packed products: edge cases of the packing base ---------------------------
+
+BIG = 2**64
+
+
+@pytest.mark.parametrize(
+    "dim, a, b",
+    [
+        (1, [(3,)], [(4,)]),
+        (1, [(BIG + 5,)], [(2,), (BIG,)]),
+        # the largest degrees are pure powers on every axis, so each of these
+        # field sums is exactly one below the packing base 1 + 5 + 3
+        (3, [(5, 0, 0), (0, 5, 0), (0, 0, 5), (1, 1, 1)], [(3, 0, 0), (0, 3, 0), (0, 0, 3)]),
+        (2, [(7, 0), (0, 7)], [(0, 0)]),
+        (2, [(2**70, 1), (3, 2**65 + 3)], [(2**66, 0), (1, 1), (0, BIG)]),
+        (4, [(BIG, 0, 1, 0), (0, 0, 0, BIG + 1)], [(0, BIG - 1, 0, 0), (1, 1, 1, 1)]),
+        (3, [], [(1, 0, 0)]),
+        (3, [(1, 2, 0)], []),
+        (2, [], []),
+        (3, [(0, 0, 0)], [(0, 0, 0)]),
+        (3, [(0, 0, 0)], [(2, 0, 1), (0, 4, 0)]),
+    ],
+    ids=[
+        "dim1", "dim1-above-2^64", "sums-one-below-base", "unit-factor-dim2", "above-2^64-dim2",
+        "above-2^64-dim4", "zero-left", "zero-right", "zero-zero", "unit-unit", "unit-left",
+    ],
+)
+def test_product_edge_cases_match_oracle(dim, a, b):
+    I, J = MonomialIdeal(dim, map(Monomial, a)), MonomialIdeal(dim, map(Monomial, b))
+    assert _exps((I * J).gens) == product_gens(a, b)
+    assert _exps((J * I).gens) == product_gens(b, a)
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_product_with_huge_exponents_matches_oracle(data):
+    dim = data.draw(st.integers(1, 4))
+    exps = st.tuples(*[st.sampled_from([0, 1, 2, BIG - 1, BIG, BIG + 1, 2**70])] * dim)
+    a = data.draw(st.lists(exps, max_size=4))
+    b = data.draw(st.lists(exps, max_size=4))
+    I, J = MonomialIdeal(dim, map(Monomial, a)), MonomialIdeal(dim, map(Monomial, b))
+    assert _exps((I * J).gens) == product_gens(a, b)
+
+
+# -- colength over d-1 axes against the cell-by-cell oracle --------------------
+
+# box sides shrink with the dimension so that the oracle's walk stays small
+_MAX_SIDE = {1: 12, 2: 9, 3: 6, 4: 4, 5: 3}
+
+
+@st.composite
+def primary_gens(draw):
+    """Generators of an m-primary ideal in dim 1-5, or of the unit ideal.
+
+    The box comes first, with ties among its sides drawn often.  The longest
+    side (the first one on a tie) is the axis the colength drops; several
+    generators share a prefix with different exponents on it, and others lie
+    outside the box on each axis in turn.
+    """
+    dim = draw(st.integers(1, 5))
+    side = st.integers(1, _MAX_SIDE[dim])
+    first = draw(side)
+    box = [first if draw(st.booleans()) else draw(side) for _ in range(dim)]
+    gens = []
+    for k, s in enumerate(box):
+        pure = [0] * dim
+        pure[k] = s
+        gens.append(tuple(pure))
+    cell = st.tuples(*[st.integers(0, s - 1) for s in box])
+    gens += draw(st.lists(cell, max_size=6))
+    drop = box.index(max(box))
+    for prefix in draw(st.lists(cell, max_size=2)):
+        for h in draw(st.lists(st.integers(0, box[drop] - 1), min_size=2, max_size=3)):
+            gens.append(prefix[:drop] + (h,) + prefix[drop + 1 :])
+    for k in range(dim):
+        outside = list(draw(cell))
+        outside[k] = box[k] + draw(st.integers(0, 2))
+        gens.append(tuple(outside))
+    if draw(st.integers(0, 9)) == 0:
+        gens.append((0,) * dim)
+    return dim, gens
+
+
+@settings(max_examples=200)
+@given(case=primary_gens())
+def test_colength_matches_membership_oracle_dims_1_to_5(case):
+    dim, gens = case
+    I = MonomialIdeal(dim, map(Monomial, gens))
+    if I.is_unit:
+        assert I.colength() == 0
+    else:
+        assert I.colength() == colength_by_membership(gens)
+
+
+def test_colength_cap_refuses_before_allocating():
+    # pure powers 500, 500, 500: a 125 000 000-cell box, beyond the cap
+    I = ideal(3, (500, 0, 0), (0, 500, 0), (0, 0, 500))
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ValueError, match="^colength box has 125000000 cells; refusing beyond 100000000$"
+        ):
+            I.colength()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000

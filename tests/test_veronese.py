@@ -99,7 +99,7 @@ def module_pairs(draw):
     return r, a, b
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(case=module_pairs(), points=small_points)
 def test_engine_matches_pairwise_oracle(case, points):
     r, a, b = case
