@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvariantBreach
+from .errors import InvariantBreach, check_int
 
 __all__ = [
     "binom",
@@ -36,13 +36,15 @@ def binom(n: int, m: int) -> int:
 
 def mu_power(d: int, k: int) -> int:
     """Minimal number of generators of m^k in d variables: C(k+d-1, d-1)."""
-    _check_dim_power(d, k)
+    check_int("d", d, 1)
+    check_int("k", k, 0)
     return binom(k + d - 1, d - 1)
 
 
 def colength_power(d: int, k: int) -> int:
     """Length of A/m^k, i.e. the number of monomials of degree < k: C(k+d-1, d)."""
-    _check_dim_power(d, k)
+    check_int("d", d, 1)
+    check_int("k", k, 0)
     return binom(k + d - 1, d)
 
 
@@ -52,10 +54,8 @@ def b_of(d: int, ell: int) -> int:
     Equals floor((d-2)/ell) and also ceil((d-1)/ell) - 1; both closed forms
     are computed and compared.
     """
-    if d < 2:
-        raise ValueError(f"b_of needs dimension d >= 2, got d={d}")
-    if ell < 1:
-        raise ValueError(f"b_of needs ell >= 1, got ell={ell}")
+    check_int("d", d, 2)
+    check_int("ell", ell, 1)
     b = (d - 2) // ell
     if b != -(-(d - 1) // ell) - 1:
         raise InvariantBreach(f"floor/ceil closed forms disagree at d={d}, ell={ell}")
@@ -84,13 +84,6 @@ class IneqSides:
     gap: int
 
 
-def _check_hypothesis(d: int, ell: int, where: str) -> None:
-    if d < 3:
-        raise ValueError(f"{where} needs d >= 3, got d={d}")
-    if ell < 2:
-        raise ValueError(f"{where} needs ell >= 2, got ell={ell}")
-
-
 def ineq_sides(d: int, ell: int) -> IneqSides:
     """Evaluate both sides of the inequality exactly.
 
@@ -99,7 +92,8 @@ def ineq_sides(d: int, ell: int) -> IneqSides:
         rhs = C(ell + d - 1, d-1) + d * C((b+1)ell, d-1)
     with b = b_of(d, ell).
     """
-    _check_hypothesis(d, ell, "ineq_sides")
+    check_int("d", d, 3)
+    check_int("ell", ell, 2)
     b = b_of(d, ell)
     i = d - 2 - b * ell
     lhs = binom((b + 1) * ell + 1, d - 1) + binom((b + 2) * ell, d - 1)
@@ -122,7 +116,8 @@ def ineq_gap_telescoped(d: int, ell: int) -> int:
     C(n+1, k) = C(n, k) * (n+1) // (n+1-k), k = d-2.  The division is
     exact, and its divisor is at least ell + 2 because n >= ell + d - 1.
     """
-    _check_hypothesis(d, ell, "ineq_gap_telescoped")
+    check_int("d", d, 3)
+    check_int("ell", ell, 2)
     b = b_of(d, ell)
     i = d - 2 - b * ell
     if i == ell - 1:
@@ -137,10 +132,3 @@ def ineq_gap_telescoped(d: int, ell: int) -> int:
         term = term * (n + 1) // (n + 1 - k)
         gap += term - at_base
     return gap
-
-
-def _check_dim_power(d: int, k: int) -> None:
-    if d < 1:
-        raise ValueError(f"need dimension d >= 1, got d={d}")
-    if k < 0:
-        raise ValueError(f"need power k >= 0, got k={k}")

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .binomials import _check_hypothesis, b_of, ineq_sides, mu_power
-from .errors import InvariantBreach
+from .binomials import b_of, ineq_sides, mu_power
+from .errors import InvariantBreach, check_int
 from .monomials import MonomialIdeal, maximal_power
 
 __all__ = [
@@ -69,8 +69,7 @@ class CanonicalLadder:
 
     def component_exponent(self, n: int) -> int:
         """Exponent k with degree-n component m^k (k = 0 means unit ideal)."""
-        if n < 1:
-            raise ValueError(f"ladder components start at degree 1, got {n}")
+        check_int("n", n, 1)
         if n <= self.b:
             return 0
         return n * self.ell - self.d + 1
@@ -91,11 +90,7 @@ class Obstruction(NamedTuple):
 
 
 def ladder(d: int, ell: int) -> CanonicalLadder:
-    """The canonical ladder of R(m^ell); needs d >= 2, ell >= 1."""
-    if d < 2:
-        raise ValueError(f"ladder needs d >= 2, got d={d}")
-    if ell < 1:
-        raise ValueError(f"ladder needs ell >= 1, got ell={ell}")
+    """The canonical ladder of R(m^ell); needs d >= 2, ell >= 1, which b_of checks."""
     b = b_of(d, ell)
     tail = (b + 1) * ell - d + 1
     if tail < 0:
@@ -107,13 +102,15 @@ def ladder(d: int, ell: int) -> CanonicalLadder:
 
 def mu_K(d: int, ell: int) -> int:
     """Minimal generators of the canonical module of R(m^ell); d >= 3, ell >= 2."""
-    _check_hypothesis(d, ell, "mu_K")
+    check_int("d", d, 3)
+    check_int("ell", ell, 2)
     return ladder(d, ell).mu_K
 
 
 def mu_MK(d: int, ell: int) -> int:
     """Minimal generators of MK, M the graded maximal ideal; d >= 3, ell >= 2."""
-    _check_hypothesis(d, ell, "mu_MK")
+    check_int("d", d, 3)
+    check_int("ell", ell, 2)
     return ladder(d, ell).mu_MK
 
 
@@ -124,10 +121,8 @@ def ulrich_numbers(d: int, ell: int) -> UlrichNumbers:
     comparison map R -> K(1) is free of rank c over the ambient ring, so
     mu(C) = e(C) = c with c = (d-1)/ell - 1.  Requires ell | d-1.
     """
-    if d < 2:
-        raise ValueError(f"ulrich_numbers needs d >= 2, got d={d}")
-    if ell < 1:
-        raise ValueError(f"ulrich_numbers needs ell >= 1, got ell={ell}")
+    check_int("d", d, 2)
+    check_int("ell", ell, 1)
     if (d - 1) % ell != 0:
         raise ValueError(
             f"ulrich_numbers needs ell | d-1 (unit ladder tail), got d={d}, ell={ell}"
@@ -143,10 +138,8 @@ def notgraded_obstruction(d: int, ell: int) -> Obstruction:
     satisfy mu(C) <= b yet e(C) >= multiplicity of m^ell = ell^d; the pair
     (b, ell^d) with ell^d > b+1 certifies the impossibility.
     """
-    if ell < 2:
-        raise ValueError(f"notgraded_obstruction needs ell >= 2, got ell={ell}")
-    if d < 3:
-        raise ValueError(f"notgraded_obstruction needs d >= 3, got d={d}")
+    check_int("ell", ell, 2)
+    check_int("d", d, 3)
     if (d - 1) % ell != 0:
         raise ValueError(f"notgraded_obstruction needs ell | d-1, got d={d}, ell={ell}")
     if ell == d - 1:
@@ -162,7 +155,8 @@ def notgraded_obstruction(d: int, ell: int) -> Obstruction:
 
 def ladder_report(d: int, ell: int) -> dict:
     """Serializable summary of the ladder numbers for one (d, ell)."""
-    _check_hypothesis(d, ell, "ladder_report")
+    check_int("d", d, 3)
+    check_int("ell", ell, 2)
     lad = ladder(d, ell)
     report = {
         "d": d,

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantBreach
-from .monomials import Monomial, MonomialIdeal, _check_int, maximal_power
+from .errors import InvariantBreach, check_int
+from .monomials import Monomial, MonomialIdeal, maximal_power
 
 __all__ = [
     "Certificate2D",
@@ -67,7 +67,7 @@ def build_certificate_2dim(ell: int) -> Certificate2D:
     """
     if type(ell) is int and ell == 1:
         raise ValueError("ell = 1 makes m^ell a parameter ideal; no certificate exists")
-    _check_int("ell", ell, 2)
+    check_int("ell", ell, 2)
     maximal = maximal_power(2, 1)
     ideal = maximal_power(2, ell)
     pure = MonomialIdeal(2, (Monomial((ell, 0)), Monomial((0, ell))))
@@ -90,7 +90,7 @@ def verify_claim_containment(cert: Certificate2D, n_max: int) -> bool:
     The two certificate identities force every higher degree, so a failure
     at n >= 2 with degrees 0 and 1 passing is an engine bug and raises.
     """
-    _check_int("n_max", n_max, 0)
+    check_int("n_max", n_max, 0)
     maximal = maximal_power(2, 1)
     ideal = maximal_power(2, cert.ell)
     J, f, g, h = cert.J, cert.f, cert.g, cert.h

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from .binomials import ineq_sides
 from .canonical import Obstruction, ladder, notgraded_obstruction
+from .errors import check_int
 
 __all__ = [
     "ClassLabel",
@@ -108,11 +109,7 @@ class Evidence:
 
 
 def classify(d: int, ell: int) -> tuple[ClassLabel, Evidence]:
-    """Label one pair (d >= 2, ell >= 1) with recomputed evidence."""
-    if d < 2:
-        raise ValueError(f"classify needs d >= 2, got d={d}")
-    if ell < 1:
-        raise ValueError(f"classify needs ell >= 1, got ell={ell}")
+    """Label one pair (d >= 2, ell >= 1, which ladder checks) with recomputed evidence."""
     lad = ladder(d, ell)
     gap = ineq_sides(d, ell).gap if (d >= 3 and ell >= 2) else None
     obstruction = None
@@ -135,10 +132,8 @@ def classify(d: int, ell: int) -> tuple[ClassLabel, Evidence]:
 
 def table(d_max: int, ell_max: int) -> dict[tuple[int, int], tuple[ClassLabel, Evidence]]:
     """Full grid for 2 <= d <= d_max, 1 <= ell <= ell_max."""
-    if d_max < 2:
-        raise ValueError(f"table needs d_max >= 2, got {d_max}")
-    if ell_max < 1:
-        raise ValueError(f"table needs ell_max >= 1, got {ell_max}")
+    check_int("d_max", d_max, 2)
+    check_int("ell_max", ell_max, 1)
     return {
         (d, ell): classify(d, ell)
         for d in range(2, d_max + 1)

@@ -18,7 +18,7 @@ from random import Random
 from .binomials import ineq_gap_telescoped, ineq_sides
 from .certificates import build_certificate_2dim, verify_claim_containment
 from .classify import ClassLabel, classify, render_ascii, render_csv, render_json, table
-from .errors import InvariantBreach
+from .errors import InvariantBreach, check_int
 from .goodideals import good_report
 from .monomials import (
     brute_colon,
@@ -59,10 +59,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_lemma_ineq(args: argparse.Namespace) -> int:
-    if args.dmax < 3:
-        raise ValueError(f"lemma-ineq needs --dmax >= 3, got {args.dmax}")
-    if args.lmax < 2:
-        raise ValueError(f"lemma-ineq needs --lmax >= 2, got {args.lmax}")
+    check_int("--dmax", args.dmax, 3)
+    check_int("--lmax", args.lmax, 2)
     cells = 0
     gaps = []
     counterexample = None
@@ -230,8 +228,7 @@ def cmd_colon(args: argparse.Namespace) -> int:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ValueError(f"selfcheck needs --trials >= 1, got {args.trials}")
+    check_int("--trials", args.trials, 1)
     rng = Random(args.seed)
     counterexample = None
     for _ in range(args.trials):

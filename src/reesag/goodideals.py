@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantBreach
+from .errors import InvariantBreach, check_equal
 from .monomials import Monomial, MonomialIdeal
 
 __all__ = [
@@ -56,8 +56,7 @@ def _flattest(candidates: list[Monomial]) -> Monomial:
 
 
 def _check_pair(ideal: MonomialIdeal, reduction: MonomialIdeal) -> None:
-    if ideal.dim != reduction.dim:
-        raise ValueError(f"dimension mismatch: {ideal.dim} vs {reduction.dim}")
+    check_equal("dimension", ideal.dim, reduction.dim)
     if not ideal.contains(reduction):
         raise ValueError("reduction candidate is not contained in the ideal")
 

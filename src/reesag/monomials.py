@@ -13,7 +13,7 @@ Key choices:
 
 * exponents are plain Python ints (arbitrary precision, no overflow);
   anything else, bool and numpy integers included, is refused, and so is a
-  dim, degree or power that is not exactly an int;
+  dim, degree or power that is not exactly an int (``errors.check_int``);
 * a product packs each exponent tuple into one int, so each pair is one
   int addition, and unpacks the distinct sums with divmod; intersections
   and colons form each pair as one ``tuple(map(...))`` (max, or the
@@ -42,6 +42,8 @@ import operator
 from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Iterator
+
+from .errors import check_equal, check_int
 
 __all__ = [
     "Monomial",
@@ -82,11 +84,14 @@ class Monomial:
 
     @classmethod
     def unit(cls, dim: int) -> "Monomial":
+        check_int("dim", dim, 1)
         return cls((0,) * dim)
 
     @classmethod
     def variable(cls, dim: int, index: int, power: int = 1) -> "Monomial":
-        if not 0 <= index < dim:
+        check_int("dim", dim, 1)
+        check_int("index", index, 0)
+        if index >= dim:
             raise ValueError(f"variable index {index} out of range for dim {dim}")
         exps = [0] * dim
         exps[index] = power
@@ -105,20 +110,20 @@ class Monomial:
         return self.degree == 0
 
     def divides(self, other: "Monomial") -> bool:
-        _check_same_dim(self.dim, other.dim)
+        check_equal("dimension", self.dim, other.dim)
         return all(map(operator.le, self.exponents, other.exponents))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        _check_same_dim(self.dim, other.dim)
+        check_equal("dimension", self.dim, other.dim)
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        _check_same_dim(self.dim, other.dim)
+        check_equal("dimension", self.dim, other.dim)
         return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
 
     def colon_by(self, divisor: "Monomial") -> "Monomial":
         """Smallest u with u * divisor divisible by self: max(self - divisor, 0)."""
-        _check_same_dim(self.dim, divisor.dim)
+        check_equal("dimension", self.dim, divisor.dim)
         return Monomial(tuple(max(a - b, 0) for a, b in zip(self.exponents, divisor.exponents)))
 
     def as_list(self) -> list[int]:
@@ -141,19 +146,6 @@ def _var_names(dim: int) -> list[str]:
     if dim <= 4:
         return list("xyzw")[:dim]
     return [f"x{k}" for k in range(1, dim + 1)]
-
-
-def _check_same_dim(a: int, b: int) -> None:
-    if a != b:
-        raise ValueError(f"dimension mismatch: {a} vs {b}")
-
-
-def _check_int(name: str, value: object, least: int) -> None:
-    """Refuse a size that is not exactly an int (the exponent rule) or is below least."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < least:
-        raise ValueError(f"need {name} >= {least}, got {value}")
 
 
 def _distinct_sums(a: list[tuple[int, ...]], b: list[tuple[int, ...]], base: int) -> list[tuple[int, ...]]:
@@ -222,11 +214,11 @@ class MonomialIdeal:
     __slots__ = ("dim", "gens", "_stair")
 
     def __init__(self, dim: int, gens: Iterable[Monomial] = ()):
-        _check_int("dim", dim, 1)
+        check_int("dim", dim, 1)
         gens = tuple(gens)
         for g in gens:
             if len(g.exponents) != dim:
-                _check_same_dim(len(g.exponents), dim)
+                check_equal("dimension", len(g.exponents), dim)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "gens", _antichain(gens))
         object.__setattr__(self, "_stair", None)
@@ -279,7 +271,7 @@ class MonomialIdeal:
         return any(all(map(le, g.exponents, e)) for g in self.gens)
 
     def member(self, mono: Monomial) -> bool:
-        _check_same_dim(mono.dim, self.dim)
+        check_equal("dimension", mono.dim, self.dim)
         return self._has(mono.exponents)
 
     def __contains__(self, mono: Monomial) -> bool:
@@ -287,18 +279,18 @@ class MonomialIdeal:
 
     def contains(self, other: "MonomialIdeal") -> bool:
         """Ideal containment other subset-of self."""
-        _check_same_dim(other.dim, self.dim)
+        check_equal("dimension", other.dim, self.dim)
         has = self._has
         return all(has(g.exponents) for g in other.gens)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        _check_same_dim(other.dim, self.dim)
+        check_equal("dimension", other.dim, self.dim)
         return MonomialIdeal(self.dim, self.gens + other.gens)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        _check_same_dim(other.dim, self.dim)
+        check_equal("dimension", other.dim, self.dim)
         if not self.gens or not other.gens:
             return MonomialIdeal(self.dim)
         # in canonical order the last generator has the largest degree
@@ -307,7 +299,7 @@ class MonomialIdeal:
         return MonomialIdeal(self.dim, map(Monomial, sums))
 
     def __pow__(self, n: int) -> "MonomialIdeal":
-        _check_int("power n", n, 0)
+        check_int("power n", n, 0)
         if n == 0:
             return MonomialIdeal(self.dim, (Monomial.unit(self.dim),))
         out = self
@@ -316,7 +308,7 @@ class MonomialIdeal:
         return out
 
     def intersection(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        _check_same_dim(other.dim, self.dim)
+        check_equal("dimension", other.dim, self.dim)
         right = [h.exponents for h in other.gens]
         raw = {tuple(map(max, g.exponents, b)) for g in self.gens for b in right}
         return MonomialIdeal(self.dim, map(Monomial, raw))
@@ -328,7 +320,7 @@ class MonomialIdeal:
         colons self : (m), each generated by the exponent differences g - m
         clipped at 0 (g.colon_by(m) for each generator g of self).
         """
-        _check_same_dim(other.dim, self.dim)
+        check_equal("dimension", other.dim, self.dim)
         if other.is_zero:
             raise ValueError("colon by the zero ideal is the whole ring; not represented")
         if self.is_zero:
@@ -424,8 +416,8 @@ def maximal_power(dim: int, degree: int) -> MonomialIdeal:
 
 def monomials_of_degree(dim: int, degree: int) -> list[Monomial]:
     """All exponent vectors of the given total degree (stars and bars)."""
-    _check_int("dim", dim, 1)
-    _check_int("degree", degree, 0)
+    check_int("dim", dim, 1)
+    check_int("degree", degree, 0)
     out = []
     for cuts in itertools.combinations(range(degree + dim - 1), dim - 1):
         bounds = (-1,) + cuts + (degree + dim - 1,)
@@ -434,8 +426,9 @@ def monomials_of_degree(dim: int, degree: int) -> list[Monomial]:
 
 
 def monomials_up_to_degree(dim: int, bound: int) -> Iterator[Monomial]:
-    for deg in range(bound + 1):
-        yield from monomials_of_degree(dim, deg)
+    """All exponent vectors of total degree at most bound, degree by degree."""
+    check_int("bound", bound, 0)
+    return itertools.chain.from_iterable(monomials_of_degree(dim, deg) for deg in range(bound + 1))
 
 
 def brute_colon(ideal: MonomialIdeal, other: MonomialIdeal, degree_bound: int) -> MonomialIdeal:
@@ -446,8 +439,8 @@ def brute_colon(ideal: MonomialIdeal, other: MonomialIdeal, degree_bound: int) -
     max of ideal's generators is divisible by every minimal colon generator,
     so its degree is always a sufficient bound.
     """
-    _check_same_dim(other.dim, ideal.dim)
-    _check_int("degree_bound", degree_bound, 0)
+    check_equal("dimension", other.dim, ideal.dim)
+    check_int("degree_bound", degree_bound, 0)
     if other.is_zero:
         raise ValueError("colon by the zero ideal is the whole ring; not represented")
     found = [

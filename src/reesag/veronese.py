@@ -29,7 +29,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .monomials import Monomial, MonomialIdeal, _check_int, _distinct_sums
+from .errors import check_equal, check_int
+from .monomials import Monomial, MonomialIdeal, _distinct_sums
 
 __all__ = [
     "Pair",
@@ -63,8 +64,7 @@ class SemigroupModule:
     gens: frozenset[Pair]
 
     def __post_init__(self) -> None:
-        if type(self.r) is not int or self.r < 1:
-            raise ValueError(f"need an int r >= 1, got {self.r!r}")
+        check_int("r", self.r, 1)
         object.__setattr__(self, "gens", frozenset(_check_pair(p) for p in self.gens))
 
     @functools.cached_property
@@ -78,11 +78,11 @@ class SemigroupModule:
     def member(self, p: Pair) -> bool:
         p = _check_pair(p)
         ideal = self._ideals.get(sum(p) % self.r)
-        return ideal is not None and Monomial(p) in ideal
+        return ideal is not None and ideal._has(p)
 
     def equals(self, other: "SemigroupModule") -> bool:
         """Module equality: the same ideal in every residue class."""
-        self._check_compatible(other)
+        check_equal("Veronese degree", self.r, other.r)
         return self._ideals == other._ideals
 
     def shift(self, p: Pair) -> "SemigroupModule":
@@ -91,7 +91,7 @@ class SemigroupModule:
         return SemigroupModule(self.r, frozenset(_add(p, q) for q in self.gens))
 
     def times(self, other: "SemigroupModule") -> "SemigroupModule":
-        self._check_compatible(other)
+        check_equal("Veronese degree", self.r, other.r)
         if not self.gens or not other.gens:
             return SemigroupModule(self.r, frozenset())
         base = 1 + max(map(sum, self.gens)) + max(map(sum, other.gens))
@@ -99,15 +99,11 @@ class SemigroupModule:
 
     def union(self, other: "SemigroupModule") -> "SemigroupModule":
         """Module sum."""
-        self._check_compatible(other)
+        check_equal("Veronese degree", self.r, other.r)
         return SemigroupModule(self.r, self.gens | other.gens)
 
     def sorted_gens(self) -> list[Pair]:
         return sorted(self.gens)
-
-    def _check_compatible(self, other: "SemigroupModule") -> None:
-        if self.r != other.r:
-            raise ValueError(f"Veronese degree mismatch: {self.r} vs {other.r}")
 
 
 @dataclass(frozen=True)
@@ -117,12 +113,11 @@ class VeroneseInstance:
     r: int
 
     def __post_init__(self) -> None:
-        if type(self.r) is not int:
-            raise ValueError(f"r must be an int, got {self.r!r}")
-        if self.r <= 1:
+        if type(self.r) is int and self.r == 1:
             raise ValueError(
-                f"need r >= 2: r = 1 is the regular ambient, where m is a parameter ideal (got {self.r})"
+                "need r >= 2: r = 1 is the regular ambient, where m is a parameter ideal (got 1)"
             )
+        check_int("r", self.r, 2)
 
     @property
     def x(self) -> Pair:
@@ -141,7 +136,7 @@ class VeroneseInstance:
 
     def maximal_power(self, k: int) -> SemigroupModule:
         """m^k, generated by every monomial of total degree k*r."""
-        _check_int("k", k, 0)
+        check_int("k", k, 0)
         deg = k * self.r
         return SemigroupModule(self.r, frozenset((deg - j, j) for j in range(deg + 1)))
 
@@ -168,7 +163,7 @@ def verify_good_agg_parts(inst: VeroneseInstance, ell: int) -> dict[str, bool]:
     the membership x not in m K, and the example-display variant
     m K = y m K + x m (true only at r = 2).
     """
-    _check_int("ell", ell, 1)
+    check_int("ell", ell, 1)
     m = inst.maximal_ideal()
     K = inst.canonical()
     x, y = inst.x, inst.y

@@ -16,6 +16,7 @@ from reesag.monomials import (
     brute_colon,
     format_ideal,
     monomials_of_degree,
+    monomials_up_to_degree,
     parse_ideal,
     random_ideal,
     sufficient_colon_bound,
@@ -62,12 +63,21 @@ def test_divides_refuses_dimension_mismatch():
         (lambda: monomials_of_degree(2, 2.0), "degree"),
         (lambda: brute_colon(maximal_power(2, 2), maximal_power(2, 1), 2.0), "degree_bound"),
         (lambda: brute_colon(maximal_power(2, 2), maximal_power(2, 1), True), "degree_bound"),
+        (lambda: monomials_up_to_degree(2, 2.0), "bound"),
+        (lambda: monomials_up_to_degree(2, True), "bound"),
+        (lambda: Monomial.variable(True, 0), "dim"),
+        (lambda: Monomial.variable(2, True), "index"),
+        (lambda: Monomial.variable(2, 1.0), "index"),
+        (lambda: Monomial.unit(2.0), "dim"),
+        (lambda: Monomial.unit(True), "dim"),
     ],
     ids=[
         "ideal-dim-float", "ideal-dim-integral-float", "ideal-dim-bool", "power-dim-bool",
         "power-dim-float", "power-degree-float", "power-degree-bool", "pow-bool", "pow-float",
         "pow-numpy-int64", "enumeration-dim-bool", "enumeration-degree-float",
-        "brute-colon-bound-float", "brute-colon-bound-bool",
+        "brute-colon-bound-float", "brute-colon-bound-bool", "up-to-degree-bound-float",
+        "up-to-degree-bound-bool", "variable-dim-bool", "variable-index-bool",
+        "variable-index-float", "unit-dim-float", "unit-dim-bool",
     ],
 )
 def test_engine_refuses_non_int_sizes(call, name):
@@ -84,6 +94,13 @@ def test_engine_sizes_keep_their_range_messages():
         maximal_power(0, 2)
     with pytest.raises(ValueError, match="^need power n >= 0, got -1$"):
         maximal_power(2, 1) ** -1
+    # it used to yield nothing
+    with pytest.raises(ValueError, match="^need bound >= 0, got -1$"):
+        monomials_up_to_degree(2, -1)
+    with pytest.raises(ValueError, match="^need index >= 0, got -1$"):
+        Monomial.variable(2, -1)
+    with pytest.raises(ValueError, match="^variable index 2 out of range for dim 2$"):
+        Monomial.variable(2, 2)
 
 
 def test_brute_colon_refuses_a_negative_bound():

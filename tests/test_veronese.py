@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import semigroup_equal, semigroup_member
+from reesag.monomials import Monomial
 from reesag.veronese import (
     SemigroupModule,
     VeroneseInstance,
@@ -73,8 +74,24 @@ def test_pairs_refuse_non_int_and_bad_shapes():
     with pytest.raises(ValueError):
         module(2, (2, 0)).member((2, 0, 0))
     for r in (2.5, 2.0, True):
-        with pytest.raises(ValueError, match="need an int r >= 1"):
+        with pytest.raises(ValueError, match="^r must be an int, got "):
             module(r, (1, 1))
+
+
+def test_member_builds_no_monomial_once_the_class_ideals_exist(monkeypatch):
+    # the pair is checked once by member, not again by a Monomial per query
+    m = module(3, (3, 0), (1, 2), (0, 6))
+    m.member((0, 0))  # builds the class ideals
+    built = []
+    original = Monomial.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Monomial, "__post_init__", counting)
+    assert [m.member(p) for p in [(4, 2), (2, 1), (1, 5), (0, 3), (7, 5)]] == [True, False, True, False, True]
+    assert built == []
 
 
 small_pairs = st.tuples(st.integers(0, 6), st.integers(0, 6))
