@@ -3,11 +3,16 @@
 An ideal I with parameter-style candidate Q inside it is stable when
 I^2 = QI, and good when additionally Q : I = I.  Both are decided exactly
 by the monomial engine; failures come with a witness monomial.
+
+Witnesses are generator-set differences.  If J lies inside K, a minimal generator g of K
+lying in J is divided by a generator h of J; h is in K, so h = g, a generator of J.
+Here (J, K) is (QI, I^2), and (I, Q:I) once I^2 = QI.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import InvariantBreach, check_equal
 from .monomials import Monomial, MonomialIdeal
@@ -44,7 +49,7 @@ class GoodIdealReport:
         }
 
 
-def _flattest(candidates: list[Monomial]) -> Monomial:
+def _flattest(candidates: Iterable[Monomial]) -> Monomial:
     # deterministic pick: flattest exponent multiset first, then lex-largest
     return min(
         candidates,
@@ -65,14 +70,14 @@ def is_stable(ideal: MonomialIdeal, reduction: MonomialIdeal) -> tuple[bool, Mon
     """Is I^2 = QI?  On failure also return a generator of I^2 outside QI.
 
     QI is always inside I^2 when Q is inside I, so only one direction can
-    fail and the witness search runs over the generators of I^2.
+    fail, and the witnesses are the generators of I^2 that are not QI's.
     """
     _check_pair(ideal, reduction)
     square = ideal * ideal
     qi = reduction * ideal
     if square == qi:
         return True, None
-    offending = [g for g in square.gens if not qi.member(g)]
+    offending = set(square.gens).difference(qi.gens)
     if not offending:
         raise InvariantBreach("I^2 != QI but no generator of I^2 escapes QI")
     return False, _flattest(offending)
@@ -85,9 +90,9 @@ def good_report(ideal: MonomialIdeal, reduction: MonomialIdeal) -> GoodIdealRepo
     colon_closed = colon_result == ideal
     witness = stability_witness
     if witness is None and not colon_closed:
-        escaped = [g for g in colon_result.gens if not ideal.member(g)]
         # stability holds on this path, so I lies inside Q:I and the only
         # possible failure is an escape upward
+        escaped = set(colon_result.gens).difference(ideal.gens)
         if not escaped:
             raise InvariantBreach("colon differs from I yet no colon generator escapes I")
         witness = _flattest(escaped)

@@ -37,7 +37,6 @@ __all__ = [
     "SemigroupModule",
     "VeroneseInstance",
     "verify_minimal_multiplicity",
-    "verify_good_agg_claim",
     "verify_good_agg_parts",
     "veronese_report",
 ]
@@ -189,17 +188,11 @@ def verify_good_agg_parts(inst: VeroneseInstance, ell: int) -> dict[str, bool]:
     }
 
 
-def _claim_holds(parts: dict[str, bool]) -> bool:
-    return parts["precondition_proof_form"] and parts["identity_one"] and parts["identity_two"]
-
-
-def verify_good_agg_claim(inst: VeroneseInstance, ell: int) -> bool:
-    """Both claim identities plus the proof-form precondition."""
-    return _claim_holds(verify_good_agg_parts(inst, ell))
-
-
 def veronese_report(r: int, ell: int) -> dict:
-    """Serializable outcome of every Veronese check for (r, ell)."""
+    """Serializable outcome of every Veronese check for (r, ell).
+
+    The claim is both identities plus the proof-form precondition.
+    """
     inst = VeroneseInstance(r)
     parts = verify_good_agg_parts(inst, ell)
     return {
@@ -209,6 +202,6 @@ def veronese_report(r: int, ell: int) -> dict:
         "y": list(inst.y),
         "z": list(inst.z),
         "minimal_multiplicity": verify_minimal_multiplicity(inst),
-        "claim": _claim_holds(parts),
+        "claim": parts["precondition_proof_form"] and parts["identity_one"] and parts["identity_two"],
         **parts,
     }

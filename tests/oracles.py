@@ -8,7 +8,9 @@ restated in generator counts with its own tail exponent, and its gap as the
 telescoped sum with every term an independent math.comb; Veronese module
 membership is the pairwise scan over the generators; the engine's minimal
 generators, products, intersections and membership are pairwise scans over
-exponent tuples.
+exponent tuples; a colon searches every cell of the box below the
+componentwise max, and the goodness report of a pair (I, Q) is built from
+those with a membership scan for each witness.
 """
 
 from __future__ import annotations
@@ -158,3 +160,44 @@ def product_gens(a, b) -> list[tuple[int, ...]]:
 def lcm_gens(a, b) -> list[tuple[int, ...]]:
     """Minimal generators of the intersection: every pairwise lcm of generators."""
     return minimal_gens([tuple(max(x, y) for x, y in zip(p, q)) for p in a for q in b])
+
+
+def lcm(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(max(x, y) for x, y in zip(p, q))
+
+
+def colon_by(p: tuple[int, ...], m: tuple[int, ...]) -> tuple[int, ...]:
+    """Smallest u with u * m divisible by p: p - m clipped at 0."""
+    return tuple(max(x - y, 0) for x, y in zip(p, m))
+
+
+def colon_gens(a, b) -> list[tuple[int, ...]]:
+    """Minimal generators of (a) : (b), a and b nonempty, by testing every cell below the max of a."""
+    top = [max(g[k] for g in a) for k in range(len(a[0]))]
+    found = [
+        u
+        for u in itertools.product(*(range(side + 1) for side in top))
+        if all(member(a, tuple(x + y for x, y in zip(u, m))) for m in b)
+    ]
+    return minimal_gens(found)
+
+
+def _flattest(candidates) -> tuple[int, ...]:
+    """The candidate with the lowest sorted-descending exponents, ties to the lex-largest."""
+    return min(candidates, key=lambda g: (sorted(g, reverse=True), [-x for x in g]))
+
+
+def good_pair(i_gens, q_gens) -> dict:
+    """Stability, colon closure, the colon Q : I and the witness for Q inside I.
+
+    The witness is the flattest generator of I^2 outside QI, or else the
+    flattest generator of Q : I outside I, or else None.
+    """
+    square, qi = product_gens(i_gens, i_gens), product_gens(q_gens, i_gens)
+    colon, ideal = colon_gens(q_gens, i_gens), minimal_gens(i_gens)
+    witness = None
+    if square != qi:
+        witness = _flattest([g for g in square if not member(qi, g)])
+    elif colon != ideal:
+        witness = _flattest([g for g in colon if not member(ideal, g)])
+    return {"stable": square == qi, "colon_closed": colon == ideal, "colon": colon, "witness": witness}

@@ -21,12 +21,7 @@ from reesag.canonical import mu_K, mu_MK, notgraded_obstruction, ulrich_numbers
 from reesag.certificates import build_certificate_2dim, verify_claim_containment
 from reesag.classify import table
 from reesag.monomials import brute_colon, random_ideal, sufficient_colon_bound
-from reesag.veronese import (
-    VeroneseInstance,
-    verify_good_agg_claim,
-    verify_good_agg_parts,
-    verify_minimal_multiplicity,
-)
+from reesag.veronese import VeroneseInstance, verify_minimal_multiplicity, veronese_report
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "table_10_9.csv"
 
@@ -189,8 +184,8 @@ def test_criterion_09_veronese_checks():
         if not verify_minimal_multiplicity(inst):
             bad.append((r, "multiplicity"))
         for ell in range(1, 5):
-            parts = verify_good_agg_parts(inst, ell)
-            if not verify_good_agg_claim(inst, ell) or not parts["x_outside_mK"]:
+            parts = veronese_report(r, ell)
+            if not parts["claim"] or not parts["x_outside_mK"]:
                 bad.append((r, ell))
     elapsed = time.perf_counter() - start
     ok = not bad and elapsed < 10.0

@@ -1,10 +1,13 @@
 """Stability and goodness checks on the desk-scale monomial instances."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from reesag import Monomial, MonomialIdeal, good_report, maximal_power
+from oracles import good_pair
+from reesag import Monomial, MonomialIdeal, good_report, maximal_power, monomials
 from reesag.goodideals import is_stable
-from reesag.monomials import brute_colon, sufficient_colon_bound
+from reesag.monomials import brute_colon, monomials_of_degree, sufficient_colon_bound
 
 
 def pure_powers(dim, k):
@@ -90,3 +93,55 @@ def test_report_as_dict():
     assert d["witness"] in ([1, 0], [0, 1])
     d = good_report(maximal_power(3, 2), pure_powers(3, 2)).as_dict()
     assert d["good"] is True and d["witness"] is None
+
+
+# -- differential test against the brute-force oracle --------------------------
+
+_HI = {1: 6, 2: 5, 3: 3, 4: 2}
+_BIG_K = {2: (10, 14), 3: (3, 4), 4: (2, 3)}
+
+
+@st.composite
+def good_pairs(draw):
+    """(dim, I, Q, big): m-primary I in dims 1-4 and m-primary Q inside I.
+
+    A small pair is pure powers plus random generators for I, and multiples
+    of I's generators for Q.  Otherwise I = m^k and Q holds the pure k-th
+    powers, for a small k alone (m^2 in three variables is good), or for a
+    big pair with five or more of I's other generators: at least
+    _COLON_TABLE_PAIRS generator pairs, so the colon Q : I reads the table.
+    """
+    dim = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["small", "small", "power", "big"] if dim > 1 else ["small", "power"]))
+    if kind != "small":
+        k = draw(st.integers(*_BIG_K[dim]) if kind == "big" else st.integers(1, 3))
+        i_gens = [m.exponents for m in monomials_of_degree(dim, k)]
+        q_gens = [g for g in i_gens if max(g) == k]
+        if kind == "big":
+            others = [g for g in i_gens if max(g) < k]
+            q_gens += draw(st.lists(st.sampled_from(others), min_size=5, max_size=8, unique=True))
+    else:
+        hi = _HI[dim]
+        i_gens = [tuple(draw(st.integers(1, hi)) if j == k else 0 for j in range(dim)) for k in range(dim)]
+        i_gens += draw(st.lists(st.tuples(*[st.integers(0, hi)] * dim), max_size=5))
+        q_gens = [tuple(e + draw(st.integers(0, 2)) if e else 0 for e in g) for g in i_gens[:dim]]
+        step = st.tuples(*[st.integers(0, 1)] * dim)
+        q_gens += [tuple(map(sum, zip(g, draw(step)))) for g in draw(st.lists(st.sampled_from(i_gens), max_size=3))]
+    return dim, i_gens, q_gens, kind == "big"
+
+
+@settings(max_examples=80)
+@given(case=good_pairs())
+# x^2 lies in both Q : I and I, and is flatter than the escapees y^2 and z^2
+@example(case=(3, [(2, 0, 0), (0, 4, 0), (0, 2, 2), (0, 0, 4)], [(2, 0, 0), (0, 4, 0), (0, 0, 4)], False))
+def test_good_report_matches_brute_force_oracle(case):
+    dim, i_gens, q_gens, big = case
+    I, Q = (MonomialIdeal(dim, map(Monomial, gens)) for gens in (i_gens, q_gens))
+    if big:
+        assert Q.num_gens() * I.num_gens() >= monomials._COLON_TABLE_PAIRS
+    report = good_report(I, Q)
+    want = good_pair(i_gens, q_gens)
+    assert (report.stable, report.colon_closed) == (want["stable"], want["colon_closed"])
+    assert report.good == (want["stable"] and want["colon_closed"])
+    assert [g.exponents for g in report.colon_result.gens] == want["colon"]
+    assert (report.witness.exponents if report.witness else None) == want["witness"]

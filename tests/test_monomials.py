@@ -5,14 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import colength_by_membership, lcm_gens, member, minimal_gens, product_gens
-from reesag import Monomial, MonomialIdeal, maximal_power
+from oracles import colength_by_membership, colon_by, lcm, lcm_gens, member, minimal_gens, product_gens
+from reesag import Monomial, MonomialIdeal, maximal_power, monomials
 from reesag.binomials import colength_power, mu_power
 from reesag.monomials import (
     IdealFileError,
+    _table_colon,
     brute_colon,
     format_ideal,
     monomials_of_degree,
@@ -34,8 +35,8 @@ def test_monomial_basics():
     assert Monomial((1, 0)).divides(Monomial((2, 1)))
     assert not Monomial((1, 2)).divides(Monomial((2, 1)))
     assert Monomial((1, 2)) * Monomial((3, 0)) == Monomial((4, 2))
-    assert Monomial((3, 1)).lcm(Monomial((1, 2))) == Monomial((3, 2))
-    assert Monomial((3, 1)).colon_by(Monomial((1, 2))) == Monomial((2, 0))
+    assert ideal(2, (3, 1)).intersection(ideal(2, (1, 2))) == ideal(2, lcm((3, 1), (1, 2))) == ideal(2, (3, 2))
+    assert ideal(2, (3, 1)).colon(ideal(2, (1, 2))) == ideal(2, colon_by((3, 1), (1, 2))) == ideal(2, (2, 0))
 
 
 def test_divides_refuses_dimension_mismatch():
@@ -445,14 +446,6 @@ def _built_during(monkeypatch, action):
     return len(calls)
 
 
-def _clip(g, m):
-    return tuple(max(x - y, 0) for x, y in zip(g, m))
-
-
-def _lcm(p, q):
-    return tuple(map(max, p, q))
-
-
 def test_product_builds_one_monomial_per_distinct_sum(monkeypatch):
     m3, m2 = maximal_power(4, 3), maximal_power(4, 2)
     pairs = [(g.exponents, h.exponents) for g in m3.gens for h in m2.gens]
@@ -463,7 +456,7 @@ def test_product_builds_one_monomial_per_distinct_sum(monkeypatch):
 
 def test_intersection_builds_one_monomial_per_distinct_lcm(monkeypatch):
     I, J = maximal_power(3, 2), maximal_power(3, 1)
-    distinct = {_lcm(g.exponents, h.exponents) for g in I.gens for h in J.gens}
+    distinct = {lcm(g.exponents, h.exponents) for g in I.gens for h in J.gens}
     assert (I.num_gens() * J.num_gens(), len(distinct)) == (18, 13)
     assert _built_during(monkeypatch, lambda: I.intersection(J)) == len(distinct)
 
@@ -474,11 +467,11 @@ def test_colon_builds_one_monomial_per_distinct_result(monkeypatch):
     I = ideal(3, (2, 1, 0), (2, 0, 1), (0, 2, 2), (3, 3, 0))
     J = ideal(3, (3, 1, 1), (0, 2, 2))
     a = [g.exponents for g in I.gens]
-    singles = [{_clip(g, m.exponents) for g in a} for m in J.gens]
+    singles = [{colon_by(g, m.exponents) for g in a} for m in J.gens]
     expected = sum(map(len, singles))
     acc = minimal_gens(singles[0])
     for single in singles[1:]:
-        raw = {_lcm(p, q) for p in acc for q in minimal_gens(single)}
+        raw = {lcm(p, q) for p in acc for q in minimal_gens(single)}
         expected += len(raw)
         acc = minimal_gens(raw)
     assert I.num_gens() * J.num_gens() > expected  # the pairs collide
@@ -593,4 +586,84 @@ def test_colength_cap_refuses_before_allocating():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 100_000
+
+
+# -- colon from the drop table -------------------------------------------------
+
+
+@st.composite
+def table_colon_pairs(draw):
+    """(dim, left, right) for the table colon, in dims 1-4.
+
+    left is m-primary, arbitrary with some axes at M_k = 0, or holds the
+    unit; right may hold the unit and a generator outside left's box.
+    """
+    dim = draw(st.integers(1, 4))
+    hi = _MAX_EXP[dim]
+    shape = draw(st.sampled_from(["primary", "primary", "free", "free", "unit"]))
+    live = [True] * dim if shape == "primary" else draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+    left = draw(st.lists(st.tuples(*[st.integers(0, hi if on else 0) for on in live]), min_size=1, max_size=8))
+    if shape == "primary":
+        for axis in range(dim):
+            left.append(tuple(draw(st.integers(1, hi)) if k == axis else 0 for k in range(dim)))
+    elif shape == "unit":
+        left.append((0,) * dim)
+    exps = st.tuples(*[st.integers(0, hi + 1)] * dim)
+    right = draw(st.lists(exps, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        right.append((0,) * dim)
+    if draw(st.booleans()):
+        far = list(draw(exps))
+        far[draw(st.integers(0, dim - 1))] = draw(st.sampled_from([hi + 3, 2**70]))
+        right.append(tuple(far))
+    return dim, left, right
+
+
+@settings(max_examples=200)
+@given(case=table_colon_pairs())
+# (xy) : (x^5) = (y): the cell y = 0 has no generator below it for any shift,
+# and x^5's exponent on the dropped axis lifts it exactly to the absent bound
+@example(case=(2, [(1, 1)], [(5, 0)]))
+def test_table_colon_matches_brute_force(case):
+    dim, left, right = case
+    I, J = (MonomialIdeal(dim, map(Monomial, gens)) for gens in (left, right))
+    table = _table_colon(left, right)
+    # the cells it reads off are exactly the minimal generators, each once
+    assert sorted(table) == sorted(minimal_gens(table))
+    assert MonomialIdeal(dim, map(Monomial, table)) == brute_colon(I, J, sufficient_colon_bound(I))
+
+
+@pytest.mark.parametrize("dim, k", [(2, 40), (3, 6), (4, 4)])
+def test_big_colons_read_the_table(monkeypatch, dim, k):
+    Q = MonomialIdeal(dim, (Monomial.variable(dim, j, k) for j in range(dim)))
+    I = maximal_power(dim, k)
+    assert Q.num_gens() * I.num_gens() >= monomials._COLON_TABLE_PAIRS
+    with monkeypatch.context() as patch:
+        patch.setattr(monomials, "_COLON_TABLE_PAIRS", float("inf"))
+        by_generators = Q.colon(I)
+    calls = []
+    table_colon = monomials._table_colon
+    monkeypatch.setattr(monomials, "_table_colon", lambda *args: calls.append(1) or table_colon(*args))
+    assert Q.colon(I) == by_generators
+    assert calls == [1]
+
+
+def test_colon_over_the_cell_budget_takes_the_generator_path(monkeypatch):
+    # 8 x 10 pairs, above the table threshold, but x's side alone has 2**70 + 1
+    # cells, past int64: the table is refused before anything is allocated
+    Q = ideal(3, (2**70, 0, 0), *[(0, a, 6 - a) for a in range(7)])
+    I = maximal_power(3, 3)
+    assert Q.num_gens() * I.num_gens() >= monomials._COLON_TABLE_PAIRS
+    assert _table_colon([g.exponents for g in Q.gens], [g.exponents for g in I.gens]) is None
+    with monkeypatch.context() as patch:
+        patch.setattr(monomials, "_COLON_TABLE_PAIRS", float("inf"))
+        by_generators = Q.colon(I)
+    tracemalloc.start()
+    try:
+        got = Q.colon(I)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == by_generators
     assert peak < 100_000

@@ -64,3 +64,30 @@ def test_invariant_breach_exits_3_under_optimize():
     assert proc.returncode == 3, (proc.stdout, proc.stderr)
     assert proc.stdout == ""
     assert "internal invariant breach: telescoped sum 1 != direct gap 0 at d=3, ell=2" in proc.stderr
+
+
+def test_numpy_stays_off_small_cli_colons(tmp_path):
+    # the largest files the benchmark's CLI probe writes: good-check on 4
+    # random generators plus pure powers against those powers, colon on 4 by 4
+    files = {
+        "good_I": ["4 0 0", "0 3 0", "0 0 4", "1 1 1", "2 0 1", "0 2 1", "1 2 0"],
+        "good_Q": ["4 0 0", "0 3 0", "0 0 4"],
+        "colon_L": ["3 1 0", "0 2 2", "1 0 3", "2 2 0"],
+        "colon_R": ["1 1 0", "0 1 1", "2 0 0", "0 0 1"],
+    }
+    for name, lines in files.items():
+        (tmp_path / f"{name}.txt").write_text("\n".join(lines) + "\n")
+    proc = run_python(
+        f"""
+        import contextlib, io, sys
+        from reesag.cli import main
+        d = {str(tmp_path)!r}
+        for argv in (["good-check", "--ideal", f"{{d}}/good_I.txt", "--reduction", f"{{d}}/good_Q.txt"],
+                     ["colon", f"{{d}}/colon_L.txt", f"{{d}}/colon_R.txt", "--format", "json"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            print(argv[0], code, "numpy" in sys.modules)
+        """
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["good-check 0 False", "colon 0 False"]

@@ -9,7 +9,6 @@ from reesag.monomials import Monomial
 from reesag.veronese import (
     SemigroupModule,
     VeroneseInstance,
-    verify_good_agg_claim,
     verify_good_agg_parts,
     verify_minimal_multiplicity,
     veronese_report,
@@ -168,7 +167,7 @@ def test_good_agg_parts_sweep(r, ell):
     assert parts["x_outside_mK"]
     assert parts["h_inside_m_ell_K"]
     assert parts["precondition_display_form"] == (r == 2)
-    assert verify_good_agg_claim(VeroneseInstance(r), ell)
+    assert veronese_report(r, ell)["claim"]
 
 
 @pytest.mark.parametrize(
