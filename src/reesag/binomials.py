@@ -1,10 +1,11 @@
 """Exact integer combinatorics for powers of the maximal ideal.
 
-Minimal generator counts and colengths of m^k in a d-dimensional regular
-local ring are binomial coefficients, and the almost Gorenstein decision
-for the Rees algebra of m^ell reduces to one inequality between two sums
-of such coefficients.  Everything here is arbitrary-precision integer
-arithmetic; there are no floating-point code paths.
+Minimal generator counts of m^k in a d-dimensional regular local ring are
+binomial coefficients, and the almost Gorenstein decision for R(m^ell)
+reduces to one inequality between sums of such counts.  Every ladder
+number of a cell (d, ell) is derived once, by the unchecked kernel _sides;
+the entry points here, in canonical and in classify check their arguments
+once and read it.  Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .errors import InvariantBreach, check_int
 __all__ = [
     "binom",
     "mu_power",
-    "colength_power",
     "b_of",
     "IneqSides",
     "ineq_sides",
@@ -41,21 +41,15 @@ def mu_power(d: int, k: int) -> int:
     return binom(k + d - 1, d - 1)
 
 
-def colength_power(d: int, k: int) -> int:
-    """Length of A/m^k, i.e. the number of monomials of degree < k: C(k+d-1, d)."""
-    check_int("d", d, 1)
-    check_int("k", k, 0)
-    return binom(k + d - 1, d)
-
-
 def b_of(d: int, ell: int) -> int:
-    """Index of the last unit-ideal layer of the canonical ladder for m^ell.
-
-    Equals floor((d-2)/ell) and also ceil((d-1)/ell) - 1; both closed forms
-    are computed and compared.
-    """
+    """Index of the last unit-ideal layer of the canonical ladder for m^ell; d >= 2, ell >= 1."""
     check_int("d", d, 2)
     check_int("ell", ell, 1)
+    return _b(d, ell)
+
+
+def _b(d: int, ell: int) -> int:
+    """b_of unchecked: floor((d-2)/ell), compared with its other form ceil((d-1)/ell) - 1."""
     b = (d - 2) // ell
     if b != -(-(d - 1) // ell) - 1:
         raise InvariantBreach(f"floor/ceil closed forms disagree at d={d}, ell={ell}")
@@ -64,41 +58,55 @@ def b_of(d: int, ell: int) -> int:
 
 @dataclass(frozen=True)
 class IneqSides:
-    """Both sides of the generator-count inequality for m^ell, d >= 3, ell >= 2.
+    """The ladder numbers of m^ell, and both sides of its generator-count inequality.
 
     Here b = floor((d-2)/ell), i = d - 2 - b*ell (so 0 <= i <= ell-1), and
-    gap = lhs - rhs.  In generator counts, lhs = mu(m^(e+1)) + mu(m^(e+ell))
-    and rhs = mu(m^ell) + d*mu(m^e) with e = ell - 1 - i the tail exponent of
-    the canonical ladder.  gap >= 0 always, with equality exactly when ell
-    divides d - 1, but that is a theorem about the values, not a constructor
-    invariant: callers that hunt for counterexamples must be able to see a
-    negative gap.
+    e = ell - 1 - i is the ladder's tail exponent.  In generator counts,
+    lhs = mu(m^(e+1)) + mu(m^(e+ell)), rhs = mu(m^ell) + d*mu(m^e),
+    mu_tail = mu(m^e) and gap = lhs - rhs.  gap >= 0 always, with equality
+    exactly when ell divides d - 1, but that is a theorem about the values,
+    not a constructor invariant: callers that hunt for counterexamples must
+    be able to see a negative gap.
     """
 
     d: int
     ell: int
     b: int
     i: int
+    tail_exponent: int
     lhs: int
     rhs: int
     gap: int
+    mu_tail: int
 
 
 def ineq_sides(d: int, ell: int) -> IneqSides:
-    """Evaluate both sides of the inequality exactly.
+    """Both sides of the inequality, exactly; d >= 3, ell >= 2.
 
-    In binomial form the two sides are
-        lhs = C((b+1)ell + 1, d-1) + C((b+2)ell, d-1)
-        rhs = C(ell + d - 1, d-1) + d * C((b+1)ell, d-1)
-    with b = b_of(d, ell).
+    In binomial form lhs = C((b+1)ell + 1, d-1) + C((b+2)ell, d-1) and
+    rhs = C(ell + d - 1, d-1) + d * C((b+1)ell, d-1), with b = b_of(d, ell).
     """
     check_int("d", d, 3)
     check_int("ell", ell, 2)
-    b = b_of(d, ell)
+    return _sides(d, ell)
+
+
+def _sides(d: int, ell: int) -> IneqSides:
+    """Every ladder number of a cell; d >= 2 and ell >= 1 are not checked.
+
+    The only binomials are C1..C4 = mu(m^(e+1)), mu(m^(e+ell)), mu(m^e), mu(m^ell).
+    """
+    b = _b(d, ell)
     i = d - 2 - b * ell
-    lhs = binom((b + 1) * ell + 1, d - 1) + binom((b + 2) * ell, d - 1)
-    rhs = binom(ell + d - 1, d - 1) + d * binom((b + 1) * ell, d - 1)
-    return IneqSides(d=d, ell=ell, b=b, i=i, lhs=lhs, rhs=rhs, gap=lhs - rhs)
+    e = ell - 1 - i
+    if e < 0:
+        raise InvariantBreach(f"negative tail exponent at d={d}, ell={ell}")
+    if (e == 0) != ((d - 1) % ell == 0):
+        raise InvariantBreach("unit tail must mean ell divides d-1")
+    c1, c2 = binom(e + d, d - 1), binom(e + ell + d - 1, d - 1)
+    c3, c4 = binom(e + d - 1, d - 1), binom(ell + d - 1, d - 1)
+    lhs, rhs = c1 + c2, c4 + d * c3
+    return IneqSides(d=d, ell=ell, b=b, i=i, tail_exponent=e, lhs=lhs, rhs=rhs, gap=lhs - rhs, mu_tail=c3)
 
 
 def ineq_gap_telescoped(d: int, ell: int) -> int:
@@ -118,7 +126,7 @@ def ineq_gap_telescoped(d: int, ell: int) -> int:
     """
     check_int("d", d, 3)
     check_int("ell", ell, 2)
-    b = b_of(d, ell)
+    b = _b(d, ell)
     i = d - 2 - b * ell
     if i == ell - 1:
         return 0

@@ -7,7 +7,8 @@ Everything this package needs downstream is a function of b and the tail
 exponent e = (b+1)*ell - d + 1: the generator counts of K and MK, the
 inequality deciding almost Gorensteinness, the Ulrich numbers of the
 unit-tail case, and the multiplicity obstruction that rules out the graded
-property for proper divisors.
+property for proper divisors.  Each ladder holds the IneqSides of the
+binomials kernel, which derives b, e and the counts behind mu_K and mu_MK.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .binomials import b_of, ineq_sides, mu_power
+from .binomials import IneqSides, _b, _sides, ineq_sides
 from .errors import InvariantBreach, check_int
 from .monomials import MonomialIdeal, maximal_power
 
@@ -39,13 +40,14 @@ class CanonicalLadder:
     tail_exponent is the exponent e with J = m^e in degree b+1; the degree-n
     component for n > b+1 is m^(e + (n-b-1)*ell) = m^(n*ell-d+1).  The
     ladder is never materialized as a list; component() builds single
-    degrees on demand.
+    degrees on demand.  sides holds the cell's generator counts.
     """
 
     d: int
     ell: int
     b: int
     tail_exponent: int
+    sides: IneqSides
     a_invariant: int = -1
 
     @property
@@ -55,7 +57,7 @@ class CanonicalLadder:
     @property
     def mu_K(self) -> int:
         """Minimal generators of the canonical module: b + mu(m^e), e the tail exponent."""
-        return self.b + mu_power(self.d, self.tail_exponent)
+        return self.b + self.sides.mu_tail
 
     @property
     def mu_MK(self) -> int:
@@ -64,8 +66,7 @@ class CanonicalLadder:
         MK is generated by m in degrees 1 .. b, m^(e+1) in degree b+1 and
         m^(e+ell) in degree b+2: b*d + mu(m^(e+1)) + mu(m^(e+ell)).
         """
-        e = self.tail_exponent
-        return self.b * self.d + mu_power(self.d, e + 1) + mu_power(self.d, e + self.ell)
+        return self.b * self.d + self.sides.lhs
 
     def component_exponent(self, n: int) -> int:
         """Exponent k with degree-n component m^k (k = 0 means unit ideal)."""
@@ -90,28 +91,25 @@ class Obstruction(NamedTuple):
 
 
 def ladder(d: int, ell: int) -> CanonicalLadder:
-    """The canonical ladder of R(m^ell); needs d >= 2, ell >= 1, which b_of checks."""
-    b = b_of(d, ell)
-    tail = (b + 1) * ell - d + 1
-    if tail < 0:
-        raise InvariantBreach(f"negative tail exponent at d={d}, ell={ell}")
-    if (tail == 0) != ((d - 1) % ell == 0):
-        raise InvariantBreach("unit tail must mean ell divides d-1")
-    return CanonicalLadder(d=d, ell=ell, b=b, tail_exponent=tail)
+    """The canonical ladder of R(m^ell); needs d >= 2, ell >= 1."""
+    check_int("d", d, 2)
+    check_int("ell", ell, 1)
+    return _ladder(_sides(d, ell))
+
+
+def _ladder(s: IneqSides) -> CanonicalLadder:
+    """The ladder whose numbers are s."""
+    return CanonicalLadder(d=s.d, ell=s.ell, b=s.b, tail_exponent=s.tail_exponent, sides=s)
 
 
 def mu_K(d: int, ell: int) -> int:
     """Minimal generators of the canonical module of R(m^ell); d >= 3, ell >= 2."""
-    check_int("d", d, 3)
-    check_int("ell", ell, 2)
-    return ladder(d, ell).mu_K
+    return _ladder(ineq_sides(d, ell)).mu_K
 
 
 def mu_MK(d: int, ell: int) -> int:
     """Minimal generators of MK, M the graded maximal ideal; d >= 3, ell >= 2."""
-    check_int("d", d, 3)
-    check_int("ell", ell, 2)
-    return ladder(d, ell).mu_MK
+    return _ladder(ineq_sides(d, ell)).mu_MK
 
 
 def ulrich_numbers(d: int, ell: int) -> UlrichNumbers:
@@ -127,7 +125,7 @@ def ulrich_numbers(d: int, ell: int) -> UlrichNumbers:
         raise ValueError(
             f"ulrich_numbers needs ell | d-1 (unit ladder tail), got d={d}, ell={ell}"
         )
-    c = b_of(d, ell)  # (d-1)/ell - 1, since ell | d-1
+    c = _b(d, ell)  # (d-1)/ell - 1, since ell | d-1
     return UlrichNumbers(c=c, mu_C=c, e_C=c)
 
 
@@ -145,7 +143,7 @@ def notgraded_obstruction(d: int, ell: int) -> Obstruction:
     if ell == d - 1:
         raise ValueError("ell = d-1 is the Gorenstein diagonal; no obstruction there")
     b = (d - 1) // ell - 1
-    if b != b_of(d, ell):
+    if b != _b(d, ell):
         raise InvariantBreach("divisor-case b must match the floor form")
     e_bound = ell**d
     if e_bound <= b + 1:
@@ -154,10 +152,8 @@ def notgraded_obstruction(d: int, ell: int) -> Obstruction:
 
 
 def ladder_report(d: int, ell: int) -> dict:
-    """Serializable summary of the ladder numbers for one (d, ell)."""
-    check_int("d", d, 3)
-    check_int("ell", ell, 2)
-    lad = ladder(d, ell)
+    """Serializable summary of the ladder numbers for one (d, ell); d >= 3, ell >= 2."""
+    lad = _ladder(ineq_sides(d, ell))
     report = {
         "d": d,
         "ell": ell,
@@ -166,9 +162,8 @@ def ladder_report(d: int, ell: int) -> dict:
         "a_invariant": lad.a_invariant,
         "mu_K": lad.mu_K,
         "mu_MK": lad.mu_MK,
-        "gap": ineq_sides(d, ell).gap,
+        "gap": lad.sides.gap,
     }
     if lad.unit_tail and ell != d - 1:
-        obs = notgraded_obstruction(d, ell)
-        report["obstruction"] = {"mu_bound": obs.mu_bound, "e_bound": obs.e_bound}
+        report["obstruction"] = notgraded_obstruction(d, ell)._asdict()
     return report

@@ -24,7 +24,6 @@ import io
 import json
 from dataclasses import dataclass
 
-from .binomials import ineq_sides
 from .canonical import Obstruction, ladder, notgraded_obstruction
 from .errors import check_int
 
@@ -101,17 +100,14 @@ class Evidence:
         if self.gap is not None:
             out["gap"] = self.gap
         if self.obstruction is not None:
-            out["obstruction"] = {
-                "mu_bound": self.obstruction.mu_bound,
-                "e_bound": self.obstruction.e_bound,
-            }
+            out["obstruction"] = self.obstruction._asdict()
         return out
 
 
 def classify(d: int, ell: int) -> tuple[ClassLabel, Evidence]:
     """Label one pair (d >= 2, ell >= 1, which ladder checks) with recomputed evidence."""
     lad = ladder(d, ell)
-    gap = ineq_sides(d, ell).gap if (d >= 3 and ell >= 2) else None
+    gap = lad.sides.gap if (d >= 3 and ell >= 2) else None
     obstruction = None
     if ell == d - 1:
         rule = "gorenstein-diagonal"

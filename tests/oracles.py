@@ -1,16 +1,18 @@
 """Independent oracles the tests check the library against.
 
-Nothing here imports the package under test.  The Pascal table rebuilds
-binomial coefficients by the additive recurrence; the enumeration oracles
-count exponent vectors by brute force; the membership colength walks every
-cell of the bounding box one by one; the almost Gorenstein inequality is
+Nothing here imports the package under test, except that the Rees-cone
+oracle multiplies with the engine.  The Pascal table rebuilds binomial
+coefficients by the additive recurrence; the enumeration oracles count
+exponent vectors by brute force; the membership colength walks every cell
+of the bounding box one by one; the almost Gorenstein inequality is
 restated in generator counts with its own tail exponent, and its gap as the
 telescoped sum with every term an independent math.comb; Veronese module
 membership is the pairwise scan over the generators; the engine's minimal
 generators, products, intersections and membership are pairwise scans over
 exponent tuples; a colon searches every cell of the box below the
 componentwise max, and the goodness report of a pair (I, Q) is built from
-those with a membership scan for each witness.
+those with a membership scan for each witness; the canonical ladder is
+enumerated from the interior lattice points of the Rees cone.
 """
 
 from __future__ import annotations
@@ -201,3 +203,56 @@ def good_pair(i_gens, q_gens) -> dict:
     elif colon != ideal:
         witness = _flattest([g for g in colon if not member(ideal, g)])
     return {"stable": square == qi, "colon_closed": colon == ideal, "colon": colon, "witness": witness}
+
+
+def _positive_vectors(dim: int, total: int):
+    """Exponent vectors with every entry >= 1 and the given total, by stars and bars."""
+    for bars in itertools.combinations(range(1, total), dim - 1):
+        cuts = (0, *bars, total)
+        yield tuple(cuts[j + 1] - cuts[j] for j in range(dim))
+
+
+def rees_cone_component(d: int, ell: int, n: int) -> list[tuple[int, ...]]:
+    """Generators of K_n, read off the cone {(a, n) : a >= 0, |a| >= n*ell} of R(m^ell).
+
+    By Danilov-Stanley the canonical module is spanned by the interior
+    lattice points: for n >= 1, every a_j >= 1 and |a| > n*ell.  The
+    generators in degree n are the interior points with no interior
+    a - e_j, divided by x_1...x_d.  For such a point either every a_j = 1
+    or |a| <= n*ell + 1, so the search stops at |a| = n*ell + d.
+    """
+
+    def interior(a: tuple[int, ...]) -> bool:
+        return min(a) >= 1 and sum(a) > n * ell
+
+    gens = []
+    for total in range(d, n * ell + d + 1):
+        for a in _positive_vectors(d, total):
+            if interior(a) and not any(interior(a[:j] + (a[j] - 1,) + a[j + 1:]) for j in range(d)):
+                gens.append(tuple(x - 1 for x in a))
+    return gens
+
+
+def rees_cone_counts(d: int, ell: int, n_max: int):
+    """The cone's components K_1 .. K_n_max, and mu(K) and mu(MK) counted in those degrees.
+
+    (MK)_n = m*K_n + m^ell*K_(n-1) is multiplied out with the engine, the
+    one import of the package here.  The generators new in degree n are
+    those outside the part coming from degree n-1, m^ell*K_(n-1) for K and
+    m^ell*(MK)_(n-1) for MK.  That part lies inside the degree-n component,
+    so a generator of the component lies in it exactly when it is one of
+    its generators, and each count is a set difference of generators.
+    """
+    from reesag.monomials import Monomial, MonomialIdeal, maximal_power
+
+    m, m_ell = maximal_power(d, 1), maximal_power(d, ell)
+    k_prev = mk_prev = MonomialIdeal(d)  # K_0 = 0: the cone has no interior point at n = 0
+    components, mu_k, mu_mk = [], 0, 0
+    for n in range(1, n_max + 1):
+        k_n = MonomialIdeal(d, map(Monomial, rees_cone_component(d, ell, n)))
+        mk_n = m * k_n + m_ell * k_prev
+        mu_k += len(set(k_n.gens).difference((m_ell * k_prev).gens))
+        mu_mk += len(set(mk_n.gens).difference((m_ell * mk_prev).gens))
+        components.append(k_n)
+        k_prev, mk_prev = k_n, mk_n
+    return components, mu_k, mu_mk

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import binom_pascal, count_exponent_vectors, pascal_table, telescoped_gap
 from reesag import ineq_sides
-from reesag.binomials import b_of, binom, colength_power, ineq_gap_telescoped, mu_power
+from reesag.binomials import b_of, binom, ineq_gap_telescoped, mu_power
 
 
 def test_binom_frozen_values():
@@ -53,12 +53,6 @@ def test_mu_power_frozen():
     assert mu_power(2, 3) == 4
     assert mu_power(4, 1) == 4
     assert mu_power(5, 0) == 1
-
-
-def test_colength_power_frozen():
-    assert colength_power(2, 2) == 3
-    assert colength_power(3, 2) == 4
-    assert colength_power(2, 0) == 0
 
 
 def test_b_of_values():

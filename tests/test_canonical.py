@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import agl_inequality
+from oracles import agl_inequality, count_exponent_vectors, rees_cone_counts
 from reesag import Monomial, MonomialIdeal, ineq_sides, ladder, maximal_power
 from reesag.binomials import b_of, mu_power
 from reesag.canonical import (
@@ -111,6 +111,21 @@ def test_mu_counts_match_ladder_generators(d, ell):
         + maximal_power(d, e + 1).num_gens()
         + maximal_power(d, e + ell).num_gens()
     )
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("ell", [2, 3, 4])
+def test_rees_cone_oracle_matches_every_ladder_number(d, ell):
+    # degrees 1 .. b+3: K has its last generators in degree b+1 and MK in
+    # degree b+2, so the last degree must add none
+    lad = ladder(d, ell)
+    components, cone_mu_K, cone_mu_MK = rees_cone_counts(d, ell, lad.b + 3)
+    for n, component in enumerate(components, 1):
+        assert component == lad.component(n), n
+    assert (cone_mu_K, cone_mu_MK) == (lad.mu_K, lad.mu_MK) == (mu_K(d, ell), mu_MK(d, ell))
+    assert rees_cone_counts(d, ell, lad.b + 2)[1:] == (cone_mu_K, cone_mu_MK)
+    gap = cone_mu_MK - d * cone_mu_K - count_exponent_vectors(d, ell)
+    assert gap == lad.sides.gap == ineq_sides(d, ell).gap == ladder_report(d, ell)["gap"]
 
 
 def test_mu_K_is_one_on_diagonal():

@@ -1,9 +1,11 @@
 """The one input rule: every size argument is exactly an int, at least its least value."""
 
+import importlib
+
 import numpy as np
 import pytest
 
-from reesag.binomials import b_of, colength_power, ineq_gap_telescoped, ineq_sides, mu_power
+from reesag.binomials import b_of, ineq_gap_telescoped, ineq_sides, mu_power
 from reesag.canonical import (
     ladder,
     ladder_report,
@@ -13,12 +15,12 @@ from reesag.canonical import (
     ulrich_numbers,
 )
 from reesag.classify import classify, table
+from reesag.errors import check_int
 
 # entry point -> (its size arguments, valid values for them)
 CLOSED_FORM = {
     "b_of": (b_of, ("d", "ell"), (7, 2)),
     "mu_power": (mu_power, ("d", "k"), (3, 2)),
-    "colength_power": (colength_power, ("d", "k"), (3, 2)),
     "ineq_sides": (ineq_sides, ("d", "ell"), (7, 2)),
     "ineq_gap_telescoped": (ineq_gap_telescoped, ("d", "ell"), (7, 2)),
     "ladder": (ladder, ("d", "ell"), (7, 2)),
@@ -60,7 +62,6 @@ def test_closed_form_refuses_non_int_sizes(fn, args, name):
         (lambda: b_of(1, 2), "need d >= 2, got 1"),
         (lambda: b_of(4, 0), "need ell >= 1, got 0"),
         (lambda: mu_power(0, 2), "need d >= 1, got 0"),
-        (lambda: colength_power(2, -1), "need k >= 0, got -1"),
         (lambda: ineq_sides(2, 2), "need d >= 3, got 2"),
         (lambda: ineq_gap_telescoped(3, 1), "need ell >= 2, got 1"),
         (lambda: ladder(7, 2).component_exponent(0), "need n >= 1, got 0"),
@@ -70,7 +71,7 @@ def test_closed_form_refuses_non_int_sizes(fn, args, name):
         (lambda: table(5, 0), "need ell_max >= 1, got 0"),
     ],
     ids=[
-        "b_of-d", "b_of-ell", "mu_power-d", "colength_power-k", "ineq_sides-d",
+        "b_of-d", "b_of-ell", "mu_power-d", "ineq_sides-d",
         "ineq_gap_telescoped-ell", "component_exponent-n", "mu_K-d", "notgraded_obstruction-ell",
         "classify-d", "table-ell_max",
     ],
@@ -86,3 +87,22 @@ def test_closed_form_domain_checks_keep_their_messages():
     with pytest.raises(ValueError, match="^ell = d-1 is the Gorenstein diagonal"):
         notgraded_obstruction(3, 2)
 
+
+def test_closed_form_entry_points_check_each_argument_once(monkeypatch):
+    calls = []
+
+    def counted(name, value, least):
+        calls.append(name)
+        check_int(name, value, least)
+
+    for layer in ("binomials", "canonical", "classify"):
+        monkeypatch.setattr(importlib.import_module(f"reesag.{layer}"), "check_int", counted)
+    # (7, 2) is a divisor cell off the diagonal, (7, 4) is no divisor cell, (7, 6) is the diagonal
+    for d, ell in [(7, 2), (7, 4), (7, 6)]:
+        for fn_name in ("b_of", "ineq_sides", "ineq_gap_telescoped", "ladder", "mu_K", "mu_MK", "classify",
+                        "ladder_report"):
+            calls.clear()
+            CLOSED_FORM[fn_name][0](d, ell)
+            # classify and ladder_report also ask notgraded_obstruction, which checks its own arguments
+            obstructed = fn_name in ("classify", "ladder_report") and (d, ell) == (7, 2)
+            assert len(calls) <= (4 if obstructed else 2), (fn_name, d, ell, calls)
