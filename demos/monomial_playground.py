@@ -2,7 +2,8 @@
 
 Ideals live as their unique minimal generating antichain, so equality is
 structural.  Everything is integer arithmetic; colength uses a numpy box
-sweep and multiplicity is a finite difference of colengths of powers.
+sweep, and multiplicity sums integer determinants over the compact facets of
+the Newton polyhedron, with no power of the ideal formed.
 """
 
 import random

@@ -1,7 +1,8 @@
 """Independent oracles the tests check the library against.
 
 Nothing here imports the package under test, except that the Rees-cone
-oracle multiplies with the engine.  The Pascal table rebuilds binomial
+oracle multiplies with the engine, and the late-window multiplicity takes
+powers and colengths from it.  The Pascal table rebuilds binomial
 coefficients by the additive recurrence; the enumeration oracles count
 exponent vectors by brute force; the membership colength walks every cell
 of the bounding box one by one; the almost Gorenstein inequality is
@@ -12,7 +13,9 @@ generators, products, intersections and membership are pairwise scans over
 exponent tuples; a colon searches every cell of the box below the
 componentwise max, and the goodness report of a pair (I, Q) is built from
 those with a membership scan for each witness; the canonical ladder is
-enumerated from the interior lattice points of the Rees cone.
+enumerated from the interior lattice points of the Rees cone; the
+multiplicity is the d-th finite difference of n -> colength(I^n) on a late
+window.
 """
 
 from __future__ import annotations
@@ -256,3 +259,23 @@ def rees_cone_counts(d: int, ell: int, n_max: int):
         components.append(k_n)
         k_prev, mk_prev = k_n, mk_n
     return components, mu_k, mu_mk
+
+
+def multiplicity_late_window(gens, start: int) -> int:
+    """e(I) as the d-th forward difference of f(n) = colength(I^n) at n = start .. start + d.
+
+    f agrees with a degree-d polynomial whose d-th difference is e(I) only
+    from some n on, so start must be late enough; at start = 1 the ideals
+    (x^5, y^5, z^5, x^2yz^3) and (x^5, y^5, z^2, x^2y^3) read 124 and 48 for
+    125 and 50.  Powers and colengths come from the engine.
+    """
+    from reesag.monomials import Monomial, MonomialIdeal
+
+    d = len(gens[0])
+    ideal = MonomialIdeal(d, map(Monomial, gens))
+    power = ideal**start
+    values = []
+    for _ in range(d + 1):
+        values.append(power.colength())
+        power = power * ideal
+    return sum((-1) ** (d - k) * math.comb(d, k) * values[k] for k in range(d + 1))

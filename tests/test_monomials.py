@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    colength_by_membership, colon_by, count_below_degree, lcm, lcm_gens, member, minimal_gens, product_gens,
+    colength_by_membership, colon_by, count_below_degree, lcm, lcm_gens, member, minimal_gens,
+    multiplicity_late_window, product_gens,
 )
-from reesag import Monomial, MonomialIdeal, maximal_power, monomials
+from reesag import Monomial, MonomialIdeal, _newton, maximal_power, monomials
 from reesag.binomials import mu_power
 from reesag.monomials import (
     IdealFileError,
@@ -318,20 +319,77 @@ def test_multiplicity_d5_single_cell():
     assert maximal_power(5, 2).multiplicity() == 32
 
 
-# For these ideals the Hilbert-Samuel function is not yet polynomial on the
-# window n = 1..d+1 that the finite difference samples, so multiplicity()
-# returns 124 and 48 (ROADMAP item 2).
-EARLY_WINDOW = pytest.mark.xfail(strict=True, reason="multiplicity() samples too early a window")
-
-
-@EARLY_WINDOW
 def test_multiplicity_x5_y5_z5_x2yz3():
     assert ideal(3, (5, 0, 0), (0, 5, 0), (0, 0, 5), (2, 1, 3)).multiplicity() == 125
 
 
-@EARLY_WINDOW
 def test_multiplicity_x5_y5_z2_x2y3():
     assert ideal(3, (5, 0, 0), (0, 5, 0), (0, 0, 2), (2, 3, 0)).multiplicity() == 50
+
+
+@pytest.mark.parametrize(
+    "I, want",
+    [
+        # a fan over every generator on a compact face, not only its
+        # vertices, overcounts this as 36, and m^4 in d = 3 (above) as 100
+        (ideal(3, (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)), 27),
+        (maximal_power(5, 4), 1024),
+        # two facets here share three generators but are not adjacent; combined,
+        # they give a face that is not a facet, with a degenerate simplex.  The
+        # late-window finite difference reads 123 at n = 3, 5 and 6
+        (ideal(4, (0, 0, 0, 5), (0, 0, 3, 0), (0, 2, 1, 0), (0, 3, 0, 0), (2, 0, 0, 1), (2, 1, 0, 0), (5, 0, 0, 0)), 123),
+        (MonomialIdeal(3, [Monomial.unit(3)]), 0),
+        *[(ideal(1, (a,)), a) for a in (2, 7)],
+    ],
+    ids=["x3_y3_z3_xyz", "m4_d5", "d4_non_adjacent", "unit", "x2", "x7"],
+)
+def test_multiplicity_regressions(I, want):
+    assert I.multiplicity() == want
+
+
+@pytest.mark.parametrize("I, index", [(MonomialIdeal(3), 0), (ideal(2, (2, 0), (1, 1)), 1)], ids=["zero", "x2_xy"])
+def test_multiplicity_refuses_non_primary_before_the_hull(monkeypatch, I, index):
+    monkeypatch.setattr(_newton, "multiplicity", lambda *args: pytest.fail("reached the hull"))
+    message = f"^not m-primary: no pure power of variable index {index} among the generators$"
+    for call in (I.multiplicity, I.colength):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_multiplicity_budget_refuses_before_the_hull():
+    # 1 820 generators in dim 5: McMullen's bound allows 3 317 862 facets
+    I = maximal_power(5, 12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ValueError,
+            match="^multiplicity of 1820 generators in dim 5 may take 6038508840 facet tests; refusing beyond 10000000$",
+        ):
+            I.multiplicity()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+@st.composite
+def primary_ideals(draw):
+    """Generators of an m-primary ideal in dims 1-4: a pure power of every variable and up to 5 others."""
+    dim = draw(st.integers(1, 4))
+    hi = (0, 6, 6, 5, 3)[dim]
+    gens = draw(st.lists(st.tuples(*[st.integers(0, hi)] * dim), max_size=5))
+    for axis in range(dim):
+        gens.append(tuple(draw(st.integers(1, hi)) if k == axis else 0 for k in range(dim)))
+    return gens
+
+
+@settings(max_examples=100)
+@given(gens=primary_ideals())
+@example(gens=[(5, 0, 0), (0, 5, 0), (0, 0, 5), (2, 1, 3)])
+@example(gens=[(5, 0, 0), (0, 5, 0), (0, 0, 2), (2, 3, 0)])
+def test_multiplicity_matches_late_window_finite_difference(gens):
+    I = MonomialIdeal(len(gens[0]), map(Monomial, gens))
+    assert I.multiplicity() == multiplicity_late_window(gens, len(gens[0]) + 1)
 
 
 def test_ideal_file_roundtrip():

@@ -91,3 +91,36 @@ def test_numpy_stays_off_small_cli_colons(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["good-check 0 False", "colon 0 False"]
+
+
+def test_multiplicity_kernel_loads_on_first_call_and_checks_under_optimize():
+    # the Newton kernel stays out of `import reesag`, needs no numpy, and its
+    # two invariants are checks that -O keeps: a zero simplex determinant and
+    # a result above the product of the pure powers
+    proc = run_python(
+        """
+        import sys
+        import reesag
+        from reesag.errors import InvariantBreach
+        if not sys.flags.optimize:
+            sys.exit("this check needs python -O")
+        print("import", "reesag._newton" in sys.modules)
+        m2 = reesag.maximal_power(3, 2)
+        print(m2.multiplicity(), "reesag._newton" in sys.modules, "numpy" in sys.modules)
+        from reesag import _newton
+        for fake in (0, 9):
+            _newton._det = lambda rows: fake
+            try:
+                m2.multiplicity()
+            except InvariantBreach as exc:
+                print(str(exc).split(" (")[0])
+        """,
+        "-O",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "import False",
+        "8 True False",
+        "degenerate simplex",
+        "multiplicity 9 outside [1, 8] for pure powers [2, 2, 2]",
+    ]
