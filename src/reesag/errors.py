@@ -4,7 +4,9 @@ Bad input raises ValueError, which the CLI maps to exit 2.  A size or
 dimension argument must be exactly an int (bool and numpy integers are
 refused, as exponents are) and at least its least value; check_int is the
 one place that says so, and check_equal the one place that refuses two
-dimensions or Veronese degrees that should agree.
+dimensions or Veronese degrees that should agree.  A computation whose size
+can be told before it starts (box cells, generator pairs) refuses past its
+budget through check_budget, before anything is built.
 
 An invariant is a fact the code proves about its own values (the two closed
 forms of b agree, the telescoped gap equals the direct one).  A breach is a
@@ -15,7 +17,7 @@ the CLI maps it to exit 3.  The checks are plain `if`/`raise`, so unlike
 
 from __future__ import annotations
 
-__all__ = ["InvariantBreach", "check_int", "check_equal"]
+__all__ = ["InvariantBreach", "check_int", "check_equal", "check_budget"]
 
 
 class InvariantBreach(RuntimeError):
@@ -34,3 +36,9 @@ def check_equal(what: str, a: object, b: object) -> None:
     """Refuse two values of what (a dimension, a Veronese degree) that differ."""
     if a != b:
         raise ValueError(f"{what} mismatch: {a} vs {b}")
+
+
+def check_budget(what: str, size: int, cap: int) -> None:
+    """Refuse a computation of size units of what (box cells, generator pairs) beyond its budget cap."""
+    if size > cap:
+        raise ValueError(f"{what}: {size} over the budget of {cap}")

@@ -13,12 +13,22 @@ Key choices:
 
 * exponents are plain Python ints (arbitrary precision, no overflow);
   anything else, bool and numpy integers included, is refused, and so is a
-  dim, degree or power that is not exactly an int (``errors.check_int``);
+  dim, degree or power that is not exactly an int (``errors.check_int``).
+  That check runs once, at the boundary: ``Monomial(...)`` and
+  ``MonomialIdeal(dim, iterable)`` check what they are given, while every
+  result the engine computes is built by ``MonomialIdeal._of`` straight
+  from exponent tuples, with one unchecked Monomial per minimal generator;
 * a product packs each exponent tuple into one int, so each pair is one
   int addition, and unpacks the distinct sums with divmod; intersections
   and colons form each pair as one ``tuple(map(...))`` (max, or the
-  difference clipped at 0).  A Monomial is built only for each distinct
-  result, never one per pair;
+  difference clipped at 0).  From 2 048 pairs on, and while base**dim <
+  2**62, numpy adds the packed int64s, sorts them and unpacks with divmod.
+  Once loaded it wins from about 64 pairs (2-6x from 144 pairs in dims
+  2-5), but Python's sums of 2 048 pairs took 0.4-3 ms against 130-180 ms
+  to import numpy, so a smaller product never makes a process load it;
+* a product refuses past 10^7 generator pairs (about 80 MB of int64 sums)
+  and colength past 10^8 box cells, before anything is built
+  (``errors.check_budget``);
 * the antichain tests divisibility on tuples; in two variables it is the
   staircase: sorted by (x, y), a pair is minimal iff its y is strictly
   below every earlier y, so minimal generators sorted by x have strictly
@@ -26,10 +36,13 @@ Key choices:
   staircase on first use, and membership is then one bisect on the xs;
 * one builder, ``_drop_table``, makes t(u) over a box with its longest side
   dropped: the least dropped-axis exponent of a generator below u, spread by
-  a cumulative min along each axis in numpy.  colength sums it; a colon of
-  >= 64 generator pairs takes the max of its shifted copies.  Measured, the
-  table won 190 of 220 colons of 16-31 pairs and all 130 from 64 on; smaller
-  colons stay pairwise and off numpy, which loads on the first table;
+  a cumulative min along each axis in numpy.  From 32 generators on
+  ``np.minimum.at`` scatters them; Python won only below 16-24 generators in
+  dims 2-5.  colength sums the table; a colon of >= 64 generator pairs takes
+  the max of its shifted copies, and its cells are already the minimal
+  generators.  Measured, the table won 190 of 220 colons of 16-31 pairs and
+  all 130 from 64 on; smaller colons stay pairwise and off numpy, which
+  loads on the first table;
 * multiplicity is d! times the covolume of the Newton polyhedron
   conv(generators) + R^d_{>=0} (Teissier 2004; Herzog-Hibi, GTM 260): a sum
   of integer determinants over a triangulation of its compact facets, from
@@ -48,7 +61,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Iterator
 
-from .errors import check_equal, check_int
+from .errors import check_budget, check_equal, check_int
 
 __all__ = [
     "Monomial", "MonomialIdeal", "maximal_power", "monomials_of_degree", "monomials_up_to_degree",
@@ -57,7 +70,10 @@ __all__ = [
 ]
 
 _COLENGTH_CELL_CAP = 100_000_000
+_PRODUCT_PAIR_CAP = 10_000_000
 _COLON_TABLE_PAIRS = 64
+_SUM_NUMPY_PAIRS = 2048
+_SCATTER_NUMPY_GENS = 32
 
 
 @dataclass(frozen=True)
@@ -112,7 +128,7 @@ class Monomial:
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         check_equal("dimension", self.dim, other.dim)
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        return _monomial(tuple(map(operator.add, self.exponents, other.exponents)))
 
     def as_list(self) -> list[int]:
         return list(self.exponents)
@@ -130,6 +146,19 @@ class Monomial:
         return "*".join(parts)
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _monomial(e: tuple[int, ...]) -> Monomial:
+    """A Monomial on an exponent tuple the engine computed, so already valid: no __post_init__."""
+    m = _new(Monomial)
+    # as the frozen dataclass's __init__ stores it; writing m.__dict__ instead
+    # would materialize a dict and cost 64 more bytes per Monomial
+    _set(m, "exponents", e)
+    return m
+
+
 def _var_names(dim: int) -> list[str]:
     if dim <= 4:
         return list("xyzw")[:dim]
@@ -141,10 +170,26 @@ def _distinct_sums(a: list[tuple[int, ...]], b: list[tuple[int, ...]], base: int
 
     Each tuple is packed into one int in base, coordinate 0 most
     significant.  base exceeds every coordinate of every sum, so no field
-    carries and the packed sum is the sum of the packed ints.
+    carries and the packed sum is the sum of the packed ints.  From
+    _SUM_NUMPY_PAIRS pairs on, and while every packed sum fits int64 (all are
+    below base**dim), numpy forms them in one array, sorts it in place and
+    keeps each first occurrence.
     """
     dim = len(b[0])
     weights = [base**k for k in range(dim - 1, -1, -1)]
+    if len(a) * len(b) >= _SUM_NUMPY_PAIRS and base**dim < 2**62:
+        import numpy as np
+
+        w = np.array(weights, dtype=np.int64)
+        v = np.add.outer(_int64_rows(a, dim) @ w, _int64_rows(b, dim) @ w).reshape(-1)
+        v.sort()
+        v = v[np.concatenate(([True], v[1:] != v[:-1]))]
+        cols = []
+        for _ in range(dim - 1):
+            v, low = np.divmod(v, base)
+            cols.append(low.tolist())
+        cols.append(v.tolist())
+        return list(zip(*reversed(cols)))
     pa = [sum(map(operator.mul, e, weights)) for e in a]
     pb = [sum(map(operator.mul, e, weights)) for e in b]
     out = []
@@ -157,20 +202,26 @@ def _distinct_sums(a: list[tuple[int, ...]], b: list[tuple[int, ...]], base: int
     return out
 
 
-def _antichain(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    """Keep only divisibility-minimal elements, sorted canonically.
+def _int64_rows(exps: list[tuple[int, ...]], dim: int):
+    """The exponent tuples as the rows of an int64 array; every entry must fit."""
+    import numpy as np
 
-    Works on the distinct exponent tuples.  In two variables, sorted by
-    (x, y), a pair is divisible by an earlier one iff its y is not strictly
-    below the running minimum of the earlier ys.  Otherwise one degree class
-    at a time: a monomial can only be divided by a distinct monomial of
-    strictly smaller degree, so the inner scan runs only over already-kept
-    smaller-degree generators.
+    flat = np.fromiter(itertools.chain.from_iterable(exps), dtype=np.int64, count=len(exps) * dim)
+    return flat.reshape(len(exps), dim)
+
+
+def _antichain(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The divisibility-minimal exponent tuples among exps, each once, sorted canonically.
+
+    In two variables, sorted by (x, y), a pair is divisible by an earlier
+    one iff its y is not strictly below the running minimum of the earlier
+    ys.  Otherwise one degree class at a time: a monomial can only be
+    divided by a distinct monomial of strictly smaller degree, so the inner
+    scan runs only over already-kept smaller-degree generators.
     """
-    by_exps = {m.exponents: m for m in monos}
-    if not by_exps:
-        return ()
-    exps = list(by_exps)
+    exps = list(set(exps))
+    if not exps:
+        return exps
     if len(exps[0]) == 2:
         kept = []
         for e in sorted(exps):
@@ -184,29 +235,43 @@ def _antichain(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
         kept = []
         for deg in sorted(by_degree):
             kept.extend([e for e in by_degree[deg] if not any(all(map(le, k, e)) for k in kept)])
-    # canonical order: degree first, then lexicographically descending, so
-    # x^2 prints before x*y before y^2
-    kept.sort(reverse=True)
-    kept.sort(key=sum)
-    return tuple(by_exps[e] for e in kept)
+    return _canonical(kept)
+
+
+def _canonical(exps: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """exps in canonical order, in place: degree first, then lexicographically
+    descending, so x^2 prints before x*y before y^2."""
+    exps.sort(reverse=True)
+    exps.sort(key=sum)
+    return exps
 
 
 def _drop_table(gens: list[tuple[int, ...]], drop: int, shape: list[int], fill: int):
     """int64 t(u) on the cells u < shape of the axes other than drop: the least drop-axis
     exponent of a generator whose other exponents are <= u, capped at fill.  Each
-    generator inside sets its cell; a cumulative min along each axis spreads it upward."""
-    lowest: dict[tuple[int, ...], int] = {}
-    for e in gens:
-        h = e[drop]
-        if h < fill:
-            u = e[:drop] + e[drop + 1 :]
-            if all(map(operator.lt, u, shape)) and h < lowest.get(u, fill):
-                lowest[u] = h
+    generator inside sets its cell; a cumulative min along each axis spreads it upward.
+    Every exponent of gens must fit int64.  From _SCATTER_NUMPY_GENS generators on,
+    np.minimum.at scatters them at their flat cell indices."""
     import numpy as np
 
     t = np.full(shape, fill, dtype=np.int64)
-    if lowest:
-        t[tuple(zip(*lowest))] = list(lowest.values()) if shape else lowest[()]
+    if len(gens) >= _SCATTER_NUMPY_GENS:
+        # a generator's flat cell index skips its drop-axis exponent: stride 0 there
+        strides = [math.prod(shape[k + 1 :]) for k in range(len(shape))]
+        strides.insert(drop, 0)
+        g = _int64_rows(gens, len(strides))
+        inside = g[(g < shape[:drop] + [fill] + shape[drop:]).all(axis=1)]
+        np.minimum.at(t.reshape(-1), inside @ np.array(strides, dtype=np.int64), inside[:, drop])
+    else:
+        lowest: dict[tuple[int, ...], int] = {}
+        for e in gens:
+            h = e[drop]
+            if h < fill:
+                u = e[:drop] + e[drop + 1 :]
+                if all(map(operator.lt, u, shape)) and h < lowest.get(u, fill):
+                    lowest[u] = h
+        if lowest:
+            t[tuple(zip(*lowest))] = list(lowest.values()) if shape else lowest[()]
     for axis in range(len(shape)):
         np.minimum.accumulate(t, axis=axis, out=t)
     return t
@@ -244,19 +309,38 @@ class MonomialIdeal:
 
     Value semantics: instances are immutable, compare by (dim, generators)
     and hash.  The empty antichain is the zero ideal; the antichain {1} is
-    the unit ideal.
+    the unit ideal.  The constructor checks its input; every result the
+    engine computes is built by _of from exponent tuples instead.
     """
 
     __slots__ = ("dim", "gens", "_stair")
 
     def __init__(self, dim: int, gens: Iterable[Monomial] = ()):
         check_int("dim", dim, 1)
-        gens = tuple(gens)
+        by_exps = {}
         for g in gens:
-            if len(g.exponents) != dim:
-                check_equal("dimension", len(g.exponents), dim)
+            e = g.exponents
+            if len(e) != dim:
+                check_equal("dimension", len(e), dim)
+            by_exps[e] = g
+        self._fill(dim, tuple(map(by_exps.__getitem__, _antichain(by_exps))))
+
+    @classmethod
+    def _of(cls, dim: int, exps: Iterable[tuple[int, ...]], minimal: bool = False) -> "MonomialIdeal":
+        """The ideal generated by exponent tuples the engine computed: no check runs.
+
+        Each tuple must have dim non-negative int entries.  With minimal set,
+        exps are already the minimal generators, each once, and are only
+        put in canonical order.  One Monomial is built per minimal generator.
+        """
+        kept = _canonical(list(exps)) if minimal else _antichain(exps)
+        ideal = _new(cls)
+        ideal._fill(dim, tuple(map(_monomial, kept)))
+        return ideal
+
+    def _fill(self, dim: int, gens: tuple[Monomial, ...]) -> None:
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "gens", _antichain(gens))
+        object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "_stair", None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -326,13 +410,15 @@ class MonomialIdeal:
         return MonomialIdeal(self.dim, self.gens + other.gens)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        """The product ideal; refuses before forming any pair past _PRODUCT_PAIR_CAP pairs."""
         check_equal("dimension", other.dim, self.dim)
+        check_budget("product generator pairs", len(self.gens) * len(other.gens), _PRODUCT_PAIR_CAP)
         if not self.gens or not other.gens:
-            return MonomialIdeal(self.dim)
+            return MonomialIdeal._of(self.dim, ())
         # in canonical order the last generator has the largest degree
         base = 1 + sum(self.gens[-1].exponents) + sum(other.gens[-1].exponents)
         sums = _distinct_sums([g.exponents for g in self.gens], [h.exponents for h in other.gens], base)
-        return MonomialIdeal(self.dim, map(Monomial, sums))
+        return MonomialIdeal._of(self.dim, sums)
 
     def __pow__(self, n: int) -> "MonomialIdeal":
         check_int("power n", n, 0)
@@ -344,7 +430,7 @@ class MonomialIdeal:
         check_equal("dimension", other.dim, self.dim)
         right = [h.exponents for h in other.gens]
         raw = {tuple(map(max, g.exponents, b)) for g in self.gens for b in right}
-        return MonomialIdeal(self.dim, map(Monomial, raw))
+        return MonomialIdeal._of(self.dim, raw)
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """The colon ideal self : other = {u : u*other inside self}.
@@ -363,11 +449,11 @@ class MonomialIdeal:
         if len(left) * len(other.gens) >= _COLON_TABLE_PAIRS:
             table = _table_colon(left, [m.exponents for m in other.gens])
             if table is not None:
-                return MonomialIdeal(self.dim, map(Monomial, table))
+                return MonomialIdeal._of(self.dim, table, minimal=True)
 
         def single(m: tuple[int, ...]) -> MonomialIdeal:
             raw = {tuple(a - b if a > b else 0 for a, b in zip(e, m)) for e in left}
-            return MonomialIdeal(self.dim, map(Monomial, raw))
+            return MonomialIdeal._of(self.dim, raw)
 
         return functools.reduce(MonomialIdeal.intersection, (single(m.exponents) for m in other.gens))
 
@@ -384,9 +470,7 @@ class MonomialIdeal:
         if self.is_unit:
             return 0
         box = self._pure_powers()
-        cells = math.prod(box)
-        if cells > _COLENGTH_CELL_CAP:
-            raise ValueError(f"colength box has {cells} cells; refusing beyond {_COLENGTH_CELL_CAP}")
+        check_budget("colength box cells", math.prod(box), _COLENGTH_CELL_CAP)
         if self.dim == 1:
             return box[0]
         top = max(box)
@@ -427,17 +511,21 @@ class MonomialIdeal:
 
 def maximal_power(dim: int, degree: int) -> MonomialIdeal:
     """The power m^degree of the maximal ideal: all monomials of that degree."""
-    return MonomialIdeal(dim, monomials_of_degree(dim, degree))
+    return MonomialIdeal._of(dim, _of_degree(dim, degree), minimal=True)
 
 
 def monomials_of_degree(dim: int, degree: int) -> list[Monomial]:
     """All exponent vectors of the given total degree (stars and bars)."""
+    return list(map(_monomial, _of_degree(dim, degree)))
+
+
+def _of_degree(dim: int, degree: int) -> list[tuple[int, ...]]:
     check_int("dim", dim, 1)
     check_int("degree", degree, 0)
     out = []
     for cuts in itertools.combinations(range(degree + dim - 1), dim - 1):
         bounds = (-1,) + cuts + (degree + dim - 1,)
-        out.append(Monomial(tuple(b - a - 1 for a, b in zip(bounds, bounds[1:]))))
+        out.append(tuple(b - a - 1 for a, b in zip(bounds, bounds[1:])))
     return out
 
 

@@ -29,8 +29,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import check_equal, check_int
-from .monomials import Monomial, MonomialIdeal, _distinct_sums
+from .errors import check_budget, check_equal, check_int
+from .monomials import _PRODUCT_PAIR_CAP, MonomialIdeal, _distinct_sums
 
 __all__ = [
     "Pair",
@@ -57,7 +57,11 @@ def _add(p: Pair, q: Pair) -> Pair:
 
 @dataclass(frozen=True)
 class SemigroupModule:
-    """Module over the degree-r Veronese semigroup, given by its generators."""
+    """Module over the degree-r Veronese semigroup, given by its generators.
+
+    The constructor checks r and every pair; a module computed from checked
+    ones (times, shift, union) is built by _of without checking again.
+    """
 
     r: int
     gens: frozenset[Pair]
@@ -66,13 +70,20 @@ class SemigroupModule:
         check_int("r", self.r, 1)
         object.__setattr__(self, "gens", frozenset(_check_pair(p) for p in self.gens))
 
+    @classmethod
+    def _of(cls, r: int, gens: frozenset[Pair]) -> "SemigroupModule":
+        module = object.__new__(cls)
+        object.__setattr__(module, "r", r)
+        object.__setattr__(module, "gens", gens)
+        return module
+
     @functools.cached_property
     def _ideals(self) -> dict[int, MonomialIdeal]:
         """Residue class of a + b mod r -> the ideal its generators span."""
-        classes: dict[int, list[Monomial]] = {}
+        classes: dict[int, list[Pair]] = {}
         for p in self.gens:
-            classes.setdefault(sum(p) % self.r, []).append(Monomial(p))
-        return {c: MonomialIdeal(2, gens) for c, gens in classes.items()}
+            classes.setdefault(sum(p) % self.r, []).append(p)
+        return {c: MonomialIdeal._of(2, pairs) for c, pairs in classes.items()}
 
     def member(self, p: Pair) -> bool:
         p = _check_pair(p)
@@ -87,19 +98,21 @@ class SemigroupModule:
     def shift(self, p: Pair) -> "SemigroupModule":
         """Multiply by the single monomial p."""
         p = _check_pair(p)
-        return SemigroupModule(self.r, frozenset(_add(p, q) for q in self.gens))
+        return SemigroupModule._of(self.r, frozenset(_add(p, q) for q in self.gens))
 
     def times(self, other: "SemigroupModule") -> "SemigroupModule":
+        """The product module; refuses before forming any pair past the engine's product budget."""
         check_equal("Veronese degree", self.r, other.r)
+        check_budget("product generator pairs", len(self.gens) * len(other.gens), _PRODUCT_PAIR_CAP)
         if not self.gens or not other.gens:
-            return SemigroupModule(self.r, frozenset())
+            return SemigroupModule._of(self.r, frozenset())
         base = 1 + max(map(sum, self.gens)) + max(map(sum, other.gens))
-        return SemigroupModule(self.r, frozenset(_distinct_sums(list(self.gens), list(other.gens), base)))
+        return SemigroupModule._of(self.r, frozenset(_distinct_sums(list(self.gens), list(other.gens), base)))
 
     def union(self, other: "SemigroupModule") -> "SemigroupModule":
         """Module sum."""
         check_equal("Veronese degree", self.r, other.r)
-        return SemigroupModule(self.r, self.gens | other.gens)
+        return SemigroupModule._of(self.r, self.gens | other.gens)
 
     def sorted_gens(self) -> list[Pair]:
         return sorted(self.gens)

@@ -15,7 +15,7 @@ from reesag.canonical import (
     ulrich_numbers,
 )
 from reesag.classify import classify, table
-from reesag.errors import check_int
+from reesag.errors import check_budget, check_int
 
 # entry point -> (its size arguments, valid values for them)
 CLOSED_FORM = {
@@ -106,3 +106,10 @@ def test_closed_form_entry_points_check_each_argument_once(monkeypatch):
             # classify and ladder_report also ask notgraded_obstruction, which checks its own arguments
             obstructed = fn_name in ("classify", "ladder_report") and (d, ell) == (7, 2)
             assert len(calls) <= (4 if obstructed else 2), (fn_name, d, ell, calls)
+
+
+def test_check_budget_refuses_only_past_the_cap():
+    check_budget("product generator pairs", 10, 10)
+    check_budget("product generator pairs", 0, 10)
+    with pytest.raises(ValueError, match="^product generator pairs: 11 over the budget of 10$"):
+        check_budget("product generator pairs", 11, 10)

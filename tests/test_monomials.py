@@ -1,5 +1,7 @@
 """Monomial engine: arithmetic, colon vs brute force, colength, multiplicity."""
 
+import contextlib
+import operator
 import random
 import tracemalloc
 
@@ -16,6 +18,8 @@ from reesag import Monomial, MonomialIdeal, _newton, maximal_power, monomials
 from reesag.binomials import mu_power
 from reesag.monomials import (
     IdealFileError,
+    _antichain,
+    _distinct_sums,
     _table_colon,
     brute_colon,
     format_ideal,
@@ -489,55 +493,113 @@ def test_engine_matches_pairwise_oracles(case):
         assert I.colon(J) == brute_colon(I, J, sufficient_colon_bound(I))
 
 
-# -- Monomial objects are built once per distinct result, never per pair -----
+# -- Monomial objects are built once per minimal generator, never per pair ----
 
 
 def _built_during(monkeypatch, action):
+    """Monomials built while action runs: checked public ones (__post_init__)
+    and the engine's trusted ones (monomials._monomial)."""
     calls = []
-    original = Monomial.__post_init__
-
-    def counting(self):
-        calls.append(self)
-        original(self)
-
+    post_init, trusted = Monomial.__post_init__, monomials._monomial
     with monkeypatch.context() as patch:
-        patch.setattr(Monomial, "__post_init__", counting)
+        patch.setattr(Monomial, "__post_init__", lambda self: calls.append(self) or post_init(self))
+        patch.setattr(monomials, "_monomial", lambda e: calls.append(e) or trusted(e))
         action()
     return len(calls)
 
 
 def test_product_builds_one_monomial_per_distinct_sum(monkeypatch):
+    # one per minimal generator of the product, fewer than its distinct sums
     m3, m2 = maximal_power(4, 3), maximal_power(4, 2)
     pairs = [(g.exponents, h.exponents) for g in m3.gens for h in m2.gens]
     distinct = {tuple(map(sum, zip(p, q))) for p, q in pairs}
     assert (len(pairs), len(distinct)) == (200, 56)
-    assert _built_during(monkeypatch, lambda: m3 * m2) == len(distinct)
+    assert _built_during(monkeypatch, lambda: m3 * m2) == len(product_gens(_exps(m3.gens), _exps(m2.gens))) == 56
+    # (x^2, xy, y^3)^2: x^2 y^3 is a distinct sum, but x^2 y^2 divides it
+    a = [(2, 0), (1, 1), (0, 3)]
+    distinct = {tuple(map(sum, zip(p, q))) for p in a for q in a}
+    I = ideal(2, *a)
+    assert _built_during(monkeypatch, lambda: I * I) == len(product_gens(a, a)) == 5 < len(distinct) == 6
 
 
 def test_intersection_builds_one_monomial_per_distinct_lcm(monkeypatch):
+    # one per minimal generator of the intersection, m^2, not per distinct lcm
     I, J = maximal_power(3, 2), maximal_power(3, 1)
     distinct = {lcm(g.exponents, h.exponents) for g in I.gens for h in J.gens}
     assert (I.num_gens() * J.num_gens(), len(distinct)) == (18, 13)
-    assert _built_during(monkeypatch, lambda: I.intersection(J)) == len(distinct)
+    assert _built_during(monkeypatch, lambda: I.intersection(J)) == len(lcm_gens(_exps(I.gens), _exps(J.gens))) == 6
 
 
 def test_colon_builds_one_monomial_per_distinct_result(monkeypatch):
     # colon = intersection over the divisor's generators m, in order, of the
-    # single colons generated by the clipped differences g - m
+    # single colons generated by the clipped differences g - m; each of those
+    # ideals builds one Monomial per minimal generator
     I = ideal(3, (2, 1, 0), (2, 0, 1), (0, 2, 2), (3, 3, 0))
     J = ideal(3, (3, 1, 1), (0, 2, 2))
     a = [g.exponents for g in I.gens]
-    singles = [{colon_by(g, m.exponents) for g in a} for m in J.gens]
+    singles = [minimal_gens({colon_by(g, m.exponents) for g in a}) for m in J.gens]
     expected = sum(map(len, singles))
-    acc = minimal_gens(singles[0])
+    acc = singles[0]
     for single in singles[1:]:
-        raw = {lcm(p, q) for p in acc for q in minimal_gens(single)}
-        expected += len(raw)
-        acc = minimal_gens(raw)
+        acc = minimal_gens({lcm(p, q) for p in acc for q in single})
+        expected += len(acc)
     assert I.num_gens() * J.num_gens() > expected  # the pairs collide
     assert _built_during(monkeypatch, lambda: I.colon(J)) == expected
     principal = ideal(3, (3, 1, 1))
     assert _built_during(monkeypatch, lambda: I.colon(principal)) == len(singles[0]) < I.num_gens()
+    # the table colon builds its result alone
+    Q, m6 = MonomialIdeal(3, (Monomial.variable(3, j, 6) for j in range(3))), maximal_power(3, 6)
+    assert Q.num_gens() * m6.num_gens() >= monomials._COLON_TABLE_PAIRS
+    assert _built_during(monkeypatch, lambda: Q.colon(m6)) == Q.colon(m6).num_gens()
+
+
+# -- the numpy side of the engine's size thresholds ------------------------------
+
+
+@contextlib.contextmanager
+def engine_path(path):
+    """Products and drop tables on one side of their thresholds: "python" never
+    takes numpy, "numpy" takes it from one pair or generator on."""
+    saved = monomials._SUM_NUMPY_PAIRS, monomials._SCATTER_NUMPY_GENS
+    least = {"python": float("inf"), "numpy": 1}[path]
+    monomials._SUM_NUMPY_PAIRS = monomials._SCATTER_NUMPY_GENS = least
+    try:
+        yield
+    finally:
+        monomials._SUM_NUMPY_PAIRS, monomials._SCATTER_NUMPY_GENS = saved
+
+
+# the oracle tests below run each case on both paths in one test, so that
+# their ids stay those of the tests they extend
+PATHS = ("python", "numpy")
+
+
+@pytest.mark.parametrize(
+    "a, b, numpy",
+    [
+        # base = 2**31 - 1: every packed sum is below base**2 < 2**62
+        ([(2**30 - 1, 0), (0, 2**30 - 1)], [(2**30 - 1, 0), (1, 1), (0, 0)], True),
+        # base = 2**31: base**2 = 2**62 is already refused
+        ([(2**30, 0)], [(2**30 - 1, 0), (0, 2**30 - 1)], False),
+        # base**3 >= 2**62 although every sum would fit
+        ([(2**20, 0, 0), (0, 1, 5)], [(2**20 - 1, 1, 0), (0, 0, 0)], False),
+        # 2**62 + 2**62 overflows int64 in one field
+        ([(2**62,)], [(2**62,), (3,)], False),
+        ([(2**62, 1), (1, 2**62)], [(2**62, 0), (0, 2**62)], False),
+    ],
+    ids=["base^2-below-2^62", "base^2-at-2^62", "base^3-above-2^62", "dim1-2^63", "dim2-2^63"],
+)
+def test_distinct_sums_take_numpy_only_below_2_to_62(monkeypatch, a, b, numpy):
+    base = 1 + max(map(sum, a)) + max(map(sum, b))
+    assert (base ** len(a[0]) < 2**62) == numpy
+    packed = []
+    rows = monomials._int64_rows
+    monkeypatch.setattr(monomials, "_int64_rows", lambda *args: packed.append(1) or rows(*args))
+    with engine_path("numpy"):
+        got = _distinct_sums(a, b, base)
+    assert bool(packed) == numpy
+    assert sorted(got) == sorted({tuple(map(operator.add, p, q)) for p in a for q in b})
+    assert all(type(e) is int for sums in got for e in sums)
 
 
 # -- packed products: edge cases of the packing base ---------------------------
@@ -569,8 +631,10 @@ BIG = 2**64
 )
 def test_product_edge_cases_match_oracle(dim, a, b):
     I, J = MonomialIdeal(dim, map(Monomial, a)), MonomialIdeal(dim, map(Monomial, b))
-    assert _exps((I * J).gens) == product_gens(a, b)
-    assert _exps((J * I).gens) == product_gens(b, a)
+    for path in PATHS:
+        with engine_path(path):
+            assert _exps((I * J).gens) == product_gens(a, b), path
+            assert _exps((J * I).gens) == product_gens(b, a), path
 
 
 @settings(max_examples=100)
@@ -581,7 +645,9 @@ def test_product_with_huge_exponents_matches_oracle(data):
     a = data.draw(st.lists(exps, max_size=4))
     b = data.draw(st.lists(exps, max_size=4))
     I, J = MonomialIdeal(dim, map(Monomial, a)), MonomialIdeal(dim, map(Monomial, b))
-    assert _exps((I * J).gens) == product_gens(a, b)
+    for path in PATHS:
+        with engine_path(path):
+            assert _exps((I * J).gens) == product_gens(a, b), path
 
 
 # -- colength over d-1 axes against the cell-by-cell oracle --------------------
@@ -628,10 +694,10 @@ def primary_gens(draw):
 def test_colength_matches_membership_oracle_dims_1_to_5(case):
     dim, gens = case
     I = MonomialIdeal(dim, map(Monomial, gens))
-    if I.is_unit:
-        assert I.colength() == 0
-    else:
-        assert I.colength() == colength_by_membership(gens)
+    want = 0 if I.is_unit else colength_by_membership(gens)
+    for path in PATHS:
+        with engine_path(path):
+            assert I.colength() == want, path
 
 
 def test_colength_cap_refuses_before_allocating():
@@ -640,13 +706,30 @@ def test_colength_cap_refuses_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(
-            ValueError, match="^colength box has 125000000 cells; refusing beyond 100000000$"
+            ValueError, match="^colength box cells: 125000000 over the budget of 100000000$"
         ):
             I.colength()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def test_product_budget_refuses_before_allocating(monkeypatch):
+    # m^20 in d = 5 has 10 626 generators: its square would form 112 911 876 pairs
+    I = maximal_power(5, 20)
+    tracemalloc.start()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(monomials, "_distinct_sums", lambda *args: pytest.fail("formed pairs"))
+            with pytest.raises(ValueError, match="^product generator pairs: 112911876 over the budget of 10000000$"):
+                I * I
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    # the budget counts pairs, so a long factor passes against a short one
+    assert (I * maximal_power(5, 1)).num_gens() == mu_power(5, 21)
 
 
 # -- colon from the drop table -------------------------------------------------
@@ -688,10 +771,28 @@ def table_colon_pairs(draw):
 def test_table_colon_matches_brute_force(case):
     dim, left, right = case
     I, J = (MonomialIdeal(dim, map(Monomial, gens)) for gens in (left, right))
+    want = brute_colon(I, J, sufficient_colon_bound(I))
+    for path in PATHS:
+        with engine_path(path):
+            table = _table_colon(left, right)
+        # the cells it reads off are exactly the minimal generators, each once
+        assert sorted(table) == sorted(minimal_gens(table)), path
+        assert MonomialIdeal(dim, map(Monomial, table)) == want, path
+
+
+@settings(max_examples=100)
+@given(case=table_colon_pairs())
+def test_table_colon_output_is_already_minimal(case):
+    # colon hands the table's cells to MonomialIdeal._of as minimal, so no
+    # antichain runs on them: that must change nothing
+    dim, left, right = case
     table = _table_colon(left, right)
-    # the cells it reads off are exactly the minimal generators, each once
-    assert sorted(table) == sorted(minimal_gens(table))
-    assert MonomialIdeal(dim, map(Monomial, table)) == brute_colon(I, J, sufficient_colon_bound(I))
+    assert all(type(e) is int for cell in table for e in cell)
+    assert len(set(table)) == len(table)
+    assert sorted(_antichain(table)) == sorted(table)
+    trusted = MonomialIdeal._of(dim, table, minimal=True)
+    assert trusted == MonomialIdeal(dim, map(Monomial, table))
+    assert _exps(trusted.gens) == minimal_gens(table)
 
 
 @pytest.mark.parametrize("dim, k", [(2, 40), (3, 6), (4, 4)])

@@ -93,6 +93,30 @@ def test_numpy_stays_off_small_cli_colons(tmp_path):
     assert proc.stdout.splitlines() == ["good-check 0 False", "colon 0 False"]
 
 
+def test_numpy_stays_off_the_small_product_verbs():
+    # the sizes the benchmark's CLI probe runs stay below the product and
+    # scatter thresholds; a product from 2 048 pairs on loads numpy
+    # (certificate --ell 21 forms 106 x 21 pairs; its colon, 2 x 22, stays
+    # below the table threshold)
+    code = """
+        import contextlib, io, sys
+        from reesag.cli import main
+        for argv in ARGVS:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            print(argv[0], argv[2], code, "numpy" in sys.modules)
+        """
+    small = [["certificate", "--ell", "5"], ["veronese", "--r", "3"],
+             ["selfcheck", "--seed", "7", "--trials", "20", "--format", "json"], ["veronese", "--r", "60"]]
+    outputs = [run_python(code.replace("ARGVS", repr(argvs))) for argvs in (small, [["certificate", "--ell", "21"]])]
+    for proc in outputs:
+        assert proc.returncode == 0, proc.stderr
+    assert [proc.stdout.splitlines() for proc in outputs] == [
+        ["certificate 5 0 False", "veronese 3 0 False", "selfcheck 7 0 False", "veronese 60 0 True"],
+        ["certificate 21 0 True"],
+    ]
+
+
 def test_multiplicity_kernel_loads_on_first_call_and_checks_under_optimize():
     # the Newton kernel stays out of `import reesag`, needs no numpy, and its
     # two invariants are checks that -O keeps: a zero simplex determinant and

@@ -1,10 +1,13 @@
 """Veronese semigroup modules and the almost-Gorenstein checks over them."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import semigroup_equal, semigroup_member
+from reesag import monomials, veronese
 from reesag.monomials import Monomial
 from reesag.veronese import (
     SemigroupModule,
@@ -82,15 +85,48 @@ def test_member_builds_no_monomial_once_the_class_ideals_exist(monkeypatch):
     m = module(3, (3, 0), (1, 2), (0, 6))
     m.member((0, 0))  # builds the class ideals
     built = []
-    original = Monomial.__post_init__
-
-    def counting(self):
-        built.append(self)
-        original(self)
-
-    monkeypatch.setattr(Monomial, "__post_init__", counting)
+    post_init, trusted = Monomial.__post_init__, monomials._monomial
+    monkeypatch.setattr(Monomial, "__post_init__", lambda self: built.append(self) or post_init(self))
+    monkeypatch.setattr(monomials, "_monomial", lambda e: built.append(e) or trusted(e))
     assert [m.member(p) for p in [(4, 2), (2, 1), (1, 5), (0, 3), (7, 5)]] == [True, False, True, False, True]
     assert built == []
+
+
+def test_computed_modules_skip_the_pair_check(monkeypatch):
+    # times, shift and union build their results from pairs that were checked
+    # when their factors were built; only shift's own argument is checked
+    m, K = VeroneseInstance(4).maximal_ideal(), VeroneseInstance(4).canonical()
+    checked = []
+    check = veronese._check_pair
+    monkeypatch.setattr(veronese, "_check_pair", lambda p: checked.append(p) or check(p))
+    m.times(K), m.union(K)
+    assert checked == []
+    m.shift((1, 3))
+    assert checked == [(1, 3)]
+
+
+@pytest.mark.parametrize("least", [float("inf"), 1], ids=["python", "numpy"])
+def test_times_matches_pairwise_sums_on_both_sides_of_the_numpy_threshold(monkeypatch, least):
+    monkeypatch.setattr(monomials, "_SUM_NUMPY_PAIRS", least)
+    for r in (2, 3, 5):
+        inst = VeroneseInstance(r)
+        for A, B in [(inst.maximal_power(2), inst.canonical()),
+                     (module(r, (0, 7), (2**40, 1), (3, 3)), module(r, inst.z))]:
+            assert A.times(B).gens == frozenset((p[0] + q[0], p[1] + q[1]) for p in A.gens for q in B.gens)
+        assert veronese_report(r, 2)["claim"]
+
+
+def test_times_budget_refuses_before_allocating():
+    # 4 001 generators times themselves would form 16 008 001 pairs
+    m = module(2, *[(a, 4000 - a) for a in range(4001)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^product generator pairs: 16008001 over the budget of 10000000$"):
+            m.times(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 small_pairs = st.tuples(st.integers(0, 6), st.integers(0, 6))
