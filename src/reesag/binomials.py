@@ -5,7 +5,8 @@ binomial coefficients, and the almost Gorenstein decision for R(m^ell)
 reduces to one inequality between sums of such counts.  Every ladder
 number of a cell (d, ell) is derived once, by the unchecked kernel _sides;
 the entry points here, in canonical and in classify check their arguments
-once and read it.  Everything is exact integer arithmetic.
+once and read it.  A whole table reads its counts off one row per d
+(_mu_row) instead.  Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -91,10 +92,26 @@ def ineq_sides(d: int, ell: int) -> IneqSides:
     return _sides(d, ell)
 
 
-def _sides(d: int, ell: int) -> IneqSides:
+def _mu_row(d: int, k_max: int) -> list[int]:
+    """mu(m^k) = C(k+d-1, d-1) for k = 0..k_max, unchecked; d >= 1.
+
+    Walked by mu(k+1) = mu(k) * (k+d) // (k+1), an exact division: one
+    multiply per entry where binom would cost a math.comb each.
+    """
+    row = [1]
+    mu = 1
+    for k in range(k_max):
+        mu = mu * (k + d) // (k + 1)
+        row.append(mu)
+    return row
+
+
+def _sides(d: int, ell: int, row: list[int] | None = None) -> IneqSides:
     """Every ladder number of a cell; d >= 2 and ell >= 1 are not checked.
 
-    The only binomials are C1..C4 = mu(m^(e+1)), mu(m^(e+ell)), mu(m^e), mu(m^ell).
+    The only counts are C1..C4 = mu(m^(e+1)), mu(m^(e+ell)), mu(m^e), mu(m^ell).
+    They come from binom, or, for a table, from row = _mu_row(d, k) with
+    k >= e + ell (2*ell - 1 covers every e), read at those four indices.
     """
     b = _b(d, ell)
     i = d - 2 - b * ell
@@ -103,8 +120,11 @@ def _sides(d: int, ell: int) -> IneqSides:
         raise InvariantBreach(f"negative tail exponent at d={d}, ell={ell}")
     if (e == 0) != ((d - 1) % ell == 0):
         raise InvariantBreach("unit tail must mean ell divides d-1")
-    c1, c2 = binom(e + d, d - 1), binom(e + ell + d - 1, d - 1)
-    c3, c4 = binom(e + d - 1, d - 1), binom(ell + d - 1, d - 1)
+    if row is None:
+        c1, c2 = binom(e + d, d - 1), binom(e + ell + d - 1, d - 1)
+        c3, c4 = binom(e + d - 1, d - 1), binom(ell + d - 1, d - 1)
+    else:
+        c1, c2, c3, c4 = row[e + 1], row[e + ell], row[e], row[ell]
     lhs, rhs = c1 + c2, c4 + d * c3
     return IneqSides(d=d, ell=ell, b=b, i=i, tail_exponent=e, lhs=lhs, rhs=rhs, gap=lhs - rhs, mu_tail=c3)
 

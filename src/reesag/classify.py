@@ -13,6 +13,10 @@ none of these.  The decision is a finite rule set:
   otherwise            -> NONE (the generator-count inequality fails)
 
 Every cell carries recomputed numeric evidence, never cached table values.
+Within one table() call each d reads its generator counts off one row,
+mu(m^k) for k < 2*ell_max, built for that call and dropped with it; the
+row's cell (d, ell_max) is classified again from binom, and any difference
+is an InvariantBreach.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ import io
 import json
 from dataclasses import dataclass
 
-from .canonical import Obstruction, ladder, notgraded_obstruction
-from .errors import check_int
+from .binomials import _mu_row, _sides
+from .canonical import CanonicalLadder, Obstruction, _ladder, ladder, notgraded_obstruction
+from .errors import InvariantBreach, check_budget, check_int
 
 __all__ = [
     "ClassLabel",
@@ -37,6 +42,9 @@ __all__ = [
     "render_json",
     "render_csv",
 ]
+
+# (d_max - 1) * ell_max cells, at about 400 B each
+_TABLE_CELL_CAP = 1_000_000
 
 
 @functools.total_ordering
@@ -106,7 +114,12 @@ class Evidence:
 
 def classify(d: int, ell: int) -> tuple[ClassLabel, Evidence]:
     """Label one pair (d >= 2, ell >= 1, which ladder checks) with recomputed evidence."""
-    lad = ladder(d, ell)
+    return _label(ladder(d, ell))
+
+
+def _label(lad: CanonicalLadder) -> tuple[ClassLabel, Evidence]:
+    """The rule set on one cell's ladder numbers."""
+    d, ell = lad.d, lad.ell
     gap = lad.sides.gap if (d >= 3 and ell >= 2) else None
     obstruction = None
     if ell == d - 1:
@@ -127,14 +140,22 @@ def classify(d: int, ell: int) -> tuple[ClassLabel, Evidence]:
 
 
 def table(d_max: int, ell_max: int) -> dict[tuple[int, int], tuple[ClassLabel, Evidence]]:
-    """Full grid for 2 <= d <= d_max, 1 <= ell <= ell_max."""
+    """Full grid for 2 <= d <= d_max, 1 <= ell <= ell_max; refuses past _TABLE_CELL_CAP cells.
+
+    Each d reads the counts of all its cells off one _mu_row, and checks its
+    cell (d, ell_max) against classify, whose counts come from binom.
+    """
     check_int("d_max", d_max, 2)
     check_int("ell_max", ell_max, 1)
-    return {
-        (d, ell): classify(d, ell)
-        for d in range(2, d_max + 1)
-        for ell in range(1, ell_max + 1)
-    }
+    check_budget("table cells", (d_max - 1) * ell_max, _TABLE_CELL_CAP)
+    grid = {}
+    for d in range(2, d_max + 1):
+        row = _mu_row(d, 2 * ell_max - 1)
+        for ell in range(1, ell_max + 1):
+            grid[(d, ell)] = _label(_ladder(_sides(d, ell, row)))
+        if grid[(d, ell_max)] != classify(d, ell_max):
+            raise InvariantBreach(f"table row disagrees with classify at d={d}, ell={ell_max}")
+    return grid
 
 
 # -- renderers ---------------------------------------------------------------

@@ -21,14 +21,15 @@ Key choices:
 * a product packs each exponent tuple into one int, so each pair is one
   int addition, and unpacks the distinct sums with divmod; intersections
   and colons form each pair as one ``tuple(map(...))`` (max, or the
-  difference clipped at 0).  From 2 048 pairs on, and while base**dim <
-  2**62, numpy adds the packed int64s, sorts them and unpacks with divmod.
-  Once loaded it wins from about 64 pairs (2-6x from 144 pairs in dims
-  2-5), but Python's sums of 2 048 pairs took 0.4-3 ms against 130-180 ms
-  to import numpy, so a smaller product never makes a process load it;
-* a product refuses past 10^7 generator pairs (about 80 MB of int64 sums)
-  and colength past 10^8 box cells, before anything is built
-  (``errors.check_budget``);
+  difference clipped at 0).  While base**dim < 2**62, numpy adds the
+  packed int64s, sorts them and unpacks with divmod: from 2 048 pairs on
+  once it is loaded (it wins from about 64 pairs, 2-6x from 144 pairs in
+  dims 2-5), and from 10^6 pairs on before.  Python's sums cost 0.05-0.17
+  us a pair and numpy saves at most 0.15 of them, against 140-150 ms to
+  import it, so a product below 10^6 pairs never makes a process load it;
+* a product refuses past 10^7 generator pairs (about 80 MB of int64 sums),
+  colength past 10^8 box cells and m^k past 10^6 generators (about 190 B
+  each in dim 5), before anything is built (``errors.check_budget``);
 * the antichain tests divisibility on tuples; in two variables it is the
   staircase: sorted by (x, y), a pair is minimal iff its y is strictly
   below every earlier y, so minimal generators sorted by x have strictly
@@ -57,6 +58,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Iterator
@@ -71,8 +73,10 @@ __all__ = [
 
 _COLENGTH_CELL_CAP = 100_000_000
 _PRODUCT_PAIR_CAP = 10_000_000
+_DEGREE_GEN_CAP = 1_000_000
 _COLON_TABLE_PAIRS = 64
 _SUM_NUMPY_PAIRS = 2048
+_SUM_NUMPY_COLD_PAIRS = 1_000_000
 _SCATTER_NUMPY_GENS = 32
 
 
@@ -171,13 +175,16 @@ def _distinct_sums(a: list[tuple[int, ...]], b: list[tuple[int, ...]], base: int
     Each tuple is packed into one int in base, coordinate 0 most
     significant.  base exceeds every coordinate of every sum, so no field
     carries and the packed sum is the sum of the packed ints.  From
-    _SUM_NUMPY_PAIRS pairs on, and while every packed sum fits int64 (all are
-    below base**dim), numpy forms them in one array, sorts it in place and
-    keeps each first occurrence.
+    _SUM_NUMPY_PAIRS pairs on if numpy is loaded, or _SUM_NUMPY_COLD_PAIRS if
+    not, and while every packed sum fits int64 (all are below base**dim),
+    numpy forms them in one array, sorts it in place and keeps each first
+    occurrence.
     """
     dim = len(b[0])
     weights = [base**k for k in range(dim - 1, -1, -1)]
-    if len(a) * len(b) >= _SUM_NUMPY_PAIRS and base**dim < 2**62:
+    pairs = len(a) * len(b)
+    if (pairs >= _SUM_NUMPY_PAIRS and ("numpy" in sys.modules or pairs >= _SUM_NUMPY_COLD_PAIRS)
+            and base**dim < 2**62):
         import numpy as np
 
         w = np.array(weights, dtype=np.int64)
@@ -510,7 +517,9 @@ class MonomialIdeal:
 
 
 def maximal_power(dim: int, degree: int) -> MonomialIdeal:
-    """The power m^degree of the maximal ideal: all monomials of that degree."""
+    """The power m^degree of the maximal ideal: all monomials of that degree.
+
+    Refuses past _DEGREE_GEN_CAP generators, C(degree+dim-1, dim-1), before building any."""
     return MonomialIdeal._of(dim, _of_degree(dim, degree), minimal=True)
 
 
@@ -522,6 +531,7 @@ def monomials_of_degree(dim: int, degree: int) -> list[Monomial]:
 def _of_degree(dim: int, degree: int) -> list[tuple[int, ...]]:
     check_int("dim", dim, 1)
     check_int("degree", degree, 0)
+    check_budget(f"monomials of degree {degree} in dim {dim}", math.comb(degree + dim - 1, dim - 1), _DEGREE_GEN_CAP)
     out = []
     for cuts in itertools.combinations(range(degree + dim - 1), dim - 1):
         bounds = (-1,) + cuts + (degree + dim - 1,)

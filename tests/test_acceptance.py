@@ -199,4 +199,4 @@ def test_criterion_10_multiplicity_power_law():
         for ell in range(1, 5)
         if maximal_power(d, ell).multiplicity() != ell**d
     ]
-    report(10, not bad, "multiplicity(m^ell) = ell^d by finite differences, d <= 5, ell <= 4")
+    report(10, not bad, "multiplicity(m^ell) = ell^d from the Newton polyhedron, d <= 5, ell <= 4")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import binom_pascal, count_exponent_vectors, pascal_table, telescoped_gap
 from reesag import ineq_sides
-from reesag.binomials import b_of, binom, ineq_gap_telescoped, mu_power
+from reesag.binomials import _mu_row, b_of, binom, ineq_gap_telescoped, mu_power
 
 
 def test_binom_frozen_values():
@@ -132,3 +132,15 @@ def test_telescoped_edge_cases(d, ell):
     gap = ineq_gap_telescoped(d, ell)
     assert gap == telescoped_gap(d, ell) == ineq_sides(d, ell).gap
     assert (gap == 0) == ((d - 1) % ell == 0)
+
+
+@settings(max_examples=40)
+@given(d=st.integers(1, 5), k_max=st.integers(0, 6))
+def test_mu_row_counts_exponent_vectors(d, k_max):
+    assert _mu_row(d, k_max) == [count_exponent_vectors(d, k) for k in range(k_max + 1)]
+
+
+@settings(max_examples=200)
+@given(d=st.integers(1, 60), k_max=st.integers(0, 250))
+def test_mu_row_matches_binom(d, k_max):
+    assert _mu_row(d, k_max) == [binom(k + d - 1, d - 1) for k in range(k_max + 1)]

@@ -1,12 +1,15 @@
 """Classification grid against the hand-written golden table and cross checks."""
 
 import csv
+import importlib
 import json
 import pathlib
+import tracemalloc
 
 import pytest
 
-from reesag import classify, ineq_sides
+from reesag import binomials, classify, ineq_sides
+from reesag.binomials import _mu_row
 from reesag.canonical import mu_K, notgraded_obstruction
 from reesag.classify import (
     ClassLabel,
@@ -17,6 +20,9 @@ from reesag.classify import (
     render_json,
     table,
 )
+from reesag.errors import InvariantBreach
+
+classify_module = importlib.import_module("reesag.classify")
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "table_10_9.csv"
 
@@ -192,3 +198,48 @@ def test_evidence_is_frozen():
     assert isinstance(ev, Evidence)
     with pytest.raises(AttributeError):
         ev.gap = 7
+
+
+@pytest.mark.parametrize("d_max, ell_max", [(2, 1), (3, 2), (30, 17), (120, 60)])
+def test_table_equals_classify_cell_by_cell(d_max, ell_max):
+    grid = table(d_max, ell_max)
+    assert list(grid) == [(d, ell) for d in range(2, d_max + 1) for ell in range(1, ell_max + 1)]
+    for (d, ell), (label, evidence) in grid.items():
+        assert (label, evidence) == classify(d, ell), (d, ell)
+
+
+def test_table_reads_binom_once_per_row_not_once_per_cell(monkeypatch):
+    calls = []
+    binom = binomials.binom
+    monkeypatch.setattr(binomials, "binom", lambda n, m: calls.append((n, m)) or binom(n, m))
+    table(40, 20)
+    # the four counts of the cell (d, 20) that classify re-derives for each d
+    assert len(calls) == 4 * 39
+
+
+@pytest.mark.parametrize(
+    "corrupt, first_d",
+    [
+        (lambda d, k: _mu_row(d + 1, k), 2),
+        # mu(m^5) enters every cell (d, 5), but at d = 2 only through the gap, which is not evidence there
+        (lambda d, k: [mu + (j == 5) for j, mu in enumerate(_mu_row(d, k))], 3),
+    ],
+    ids=["wrong-dimension", "one-entry"],
+)
+def test_corrupted_row_breaks_the_table(monkeypatch, corrupt, first_d):
+    monkeypatch.setattr(classify_module, "_mu_row", corrupt)
+    with pytest.raises(InvariantBreach, match=f"^table row disagrees with classify at d={first_d}, ell=5$"):
+        table(6, 5)
+
+
+def test_table_budget_refuses_before_allocating(monkeypatch):
+    # 1 000 values of d times 1 001 of ell: 1 001 000 cells, beyond the cap
+    monkeypatch.setattr(classify_module, "_mu_row", lambda d, k: pytest.fail("built a row"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^table cells: 1001000 over the budget of 1000000$"):
+            table(1001, 1001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000

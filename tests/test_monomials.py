@@ -732,6 +732,18 @@ def test_product_budget_refuses_before_allocating(monkeypatch):
     assert (I * maximal_power(5, 1)).num_gens() == mu_power(5, 21)
 
 
+def test_maximal_power_budget_refuses_before_allocating():
+    # m^70 in d = 5 has C(74, 4) = 1 150 626 generators, about 220 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^monomials of degree 70 in dim 5: 1150626 over the budget of 1000000$"):
+            maximal_power(5, 70)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 # -- colon from the drop table -------------------------------------------------
 
 

@@ -94,27 +94,51 @@ def test_numpy_stays_off_small_cli_colons(tmp_path):
 
 
 def test_numpy_stays_off_the_small_product_verbs():
-    # the sizes the benchmark's CLI probe runs stay below the product and
-    # scatter thresholds; a product from 2 048 pairs on loads numpy
-    # (certificate --ell 21 forms 106 x 21 pairs; its colon, 2 x 22, stays
-    # below the table threshold)
+    # before numpy is loaded, a product takes it only from 10^6 pairs on
+    # (certificate --ell 21 forms 106 x 21 pairs and its colon, 2 x 22, stays
+    # below the table threshold; veronese --r 60 multiplies modules of up to
+    # 62 generators); with that threshold lowered, certificate --ell 21 loads it
     code = """
         import contextlib, io, sys
+        from reesag import monomials
         from reesag.cli import main
+        monomials._SUM_NUMPY_COLD_PAIRS = CUTOFF
         for argv in ARGVS:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)
             print(argv[0], argv[2], code, "numpy" in sys.modules)
         """
     small = [["certificate", "--ell", "5"], ["veronese", "--r", "3"],
-             ["selfcheck", "--seed", "7", "--trials", "20", "--format", "json"], ["veronese", "--r", "60"]]
-    outputs = [run_python(code.replace("ARGVS", repr(argvs))) for argvs in (small, [["certificate", "--ell", "21"]])]
+             ["selfcheck", "--seed", "7", "--trials", "20", "--format", "json"], ["veronese", "--r", "60"],
+             ["certificate", "--ell", "21"]]
+    runs = [(small, "monomials._SUM_NUMPY_COLD_PAIRS"), ([["certificate", "--ell", "21"]], "2048")]
+    outputs = [run_python(code.replace("ARGVS", repr(argvs)).replace("CUTOFF", cutoff)) for argvs, cutoff in runs]
     for proc in outputs:
         assert proc.returncode == 0, proc.stderr
     assert [proc.stdout.splitlines() for proc in outputs] == [
-        ["certificate 5 0 False", "veronese 3 0 False", "selfcheck 7 0 False", "veronese 60 0 True"],
+        ["certificate 5 0 False", "veronese 3 0 False", "selfcheck 7 0 False", "veronese 60 0 False",
+         "certificate 21 0 False"],
         ["certificate 21 0 True"],
     ]
+
+
+def test_row_breach_exits_3_under_optimize():
+    # a table row built for the wrong dimension must be caught by its checked cell even under -O
+    proc = run_python(
+        """
+        import importlib, sys
+        import reesag.cli as cli
+        from reesag.binomials import _mu_row
+        if not sys.flags.optimize:
+            sys.exit("this check needs python -O")
+        importlib.import_module("reesag.classify")._mu_row = lambda d, k: _mu_row(d + 1, k)
+        sys.exit(cli.main(["table", "10", "9"]))
+        """,
+        "-O",
+    )
+    assert proc.returncode == 3, (proc.stdout, proc.stderr)
+    assert proc.stdout == ""
+    assert "internal invariant breach: table row disagrees with classify at d=2, ell=9" in proc.stderr
 
 
 def test_multiplicity_kernel_loads_on_first_call_and_checks_under_optimize():
