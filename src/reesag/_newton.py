@@ -34,7 +34,7 @@ import functools
 import math
 import operator
 
-from .errors import InvariantBreach
+from .errors import InvariantBreach, check_budget
 
 _FACET_TEST_CAP = 10_000_000
 
@@ -55,11 +55,7 @@ def multiplicity(gens: list[tuple[int, ...]], pure: list[int]) -> int:
     to _facet_bound(n, d) facets, could pass _FACET_TEST_CAP facet tests."""
     d = len(pure)
     tests = len(gens) * _facet_bound(len(gens), d)
-    if tests > _FACET_TEST_CAP:
-        raise ValueError(
-            f"multiplicity of {len(gens)} generators in dim {d} may take {tests} facet tests; "
-            f"refusing beyond {_FACET_TEST_CAP}"
-        )
+    check_budget(f"multiplicity facet tests of {len(gens)} generators in dim {d}", tests, _FACET_TEST_CAP)
     points = sorted(gens)  # bit d + k is points[k]; the lowest bit of a face is its lex-least point
     facets = _facets(d, points)
     rays = (1 << d) - 1

@@ -3,10 +3,12 @@
 Minimal generator counts of m^k in a d-dimensional regular local ring are
 binomial coefficients, and the almost Gorenstein decision for R(m^ell)
 reduces to one inequality between sums of such counts.  Every ladder
-number of a cell (d, ell) is derived once, by the unchecked kernel _sides;
-the entry points here, in canonical and in classify check their arguments
-once and read it.  A whole table reads its counts off one row per d
-(_mu_row) instead.  Everything is exact integer arithmetic.
+number of a cell (d, ell) is derived once, as plain ints, by the unchecked
+kernel _cell; _sides wraps them in an IneqSides for the one-cell entry
+points here, in canonical and in classify, which check their arguments
+once.  A whole table or inequality sweep reads its counts off one row per
+d (_mu_row) and takes _cell's ints as they are.  Everything is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -106,11 +108,16 @@ def _mu_row(d: int, k_max: int) -> list[int]:
     return row
 
 
-def _sides(d: int, ell: int, row: list[int] | None = None) -> IneqSides:
-    """Every ladder number of a cell; d >= 2 and ell >= 1 are not checked.
+def _sides(d: int, ell: int) -> IneqSides:
+    """The ladder numbers of one cell as an IneqSides; d >= 2 and ell >= 1 are not checked."""
+    return IneqSides(d, ell, *_cell(d, ell))
+
+
+def _cell(d: int, ell: int, row: list[int] | None = None) -> tuple[int, int, int, int, int, int, int]:
+    """Every ladder number of a cell, (b, i, e, lhs, rhs, gap, mu_tail); d >= 2 and ell >= 1 are not checked.
 
     The only counts are C1..C4 = mu(m^(e+1)), mu(m^(e+ell)), mu(m^e), mu(m^ell).
-    They come from binom, or, for a table, from row = _mu_row(d, k) with
+    They come from binom, or, for a table or a sweep, from row = _mu_row(d, k) with
     k >= e + ell (2*ell - 1 covers every e), read at those four indices.
     """
     b = _b(d, ell)
@@ -126,7 +133,7 @@ def _sides(d: int, ell: int, row: list[int] | None = None) -> IneqSides:
     else:
         c1, c2, c3, c4 = row[e + 1], row[e + ell], row[e], row[ell]
     lhs, rhs = c1 + c2, c4 + d * c3
-    return IneqSides(d=d, ell=ell, b=b, i=i, tail_exponent=e, lhs=lhs, rhs=rhs, gap=lhs - rhs, mu_tail=c3)
+    return b, i, e, lhs, rhs, lhs - rhs, c3
 
 
 def ineq_gap_telescoped(d: int, ell: int) -> int:

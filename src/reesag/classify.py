@@ -13,10 +13,12 @@ none of these.  The decision is a finite rule set:
   otherwise            -> NONE (the generator-count inequality fails)
 
 Every cell carries recomputed numeric evidence, never cached table values.
+_label holds the rule set and takes a cell's ladder numbers as plain ints:
+classify reads them off the public ladder, and table off binomials._cell.
 Within one table() call each d reads its generator counts off one row,
-mu(m^k) for k < 2*ell_max, built for that call and dropped with it; the
-row's cell (d, ell_max) is classified again from binom, and any difference
-is an InvariantBreach.
+mu(m^k) for k < 2*ell_max, built for that call and dropped with it, and
+builds nothing per cell but its Evidence; the row's cell (d, ell_max) is
+classified again from binom, and any difference is an InvariantBreach.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import io
 import json
 from dataclasses import dataclass
 
-from .binomials import _mu_row, _sides
-from .canonical import CanonicalLadder, Obstruction, _ladder, ladder, notgraded_obstruction
+from .binomials import _cell, _mu_row
+from .canonical import Obstruction, ladder, notgraded_obstruction
 from .errors import InvariantBreach, check_budget, check_int
 
 __all__ = [
@@ -114,13 +116,12 @@ class Evidence:
 
 def classify(d: int, ell: int) -> tuple[ClassLabel, Evidence]:
     """Label one pair (d >= 2, ell >= 1, which ladder checks) with recomputed evidence."""
-    return _label(ladder(d, ell))
+    lad = ladder(d, ell)
+    return _label(d, ell, lad.b, lad.tail_exponent, lad.sides.gap, lad.sides.mu_tail)
 
 
-def _label(lad: CanonicalLadder) -> tuple[ClassLabel, Evidence]:
-    """The rule set on one cell's ladder numbers."""
-    d, ell = lad.d, lad.ell
-    gap = lad.sides.gap if (d >= 3 and ell >= 2) else None
+def _label(d: int, ell: int, b: int, e: int, gap: int, mu_tail: int) -> tuple[ClassLabel, Evidence]:
+    """The rule set on one cell's ladder numbers: b, tail exponent e, gap and mu(m^e), as ints."""
     obstruction = None
     if ell == d - 1:
         rule = "gorenstein-diagonal"
@@ -128,22 +129,23 @@ def _label(lad: CanonicalLadder) -> tuple[ClassLabel, Evidence]:
         rule = "parameter-ideal"
     elif d == 2:
         rule = "dimension-two"
-    elif lad.unit_tail:
+    elif e == 0:
         rule = "divisor-local-only"
         obstruction = notgraded_obstruction(d, ell)
     else:
         rule = "gap-positive"
-    label = RULE_LABELS[rule]
-    # the count b + mu(m^e) makes sense for d = 2 and ell = 1 as well
-    evidence = Evidence(d=d, ell=ell, b=lad.b, mu_K=lad.mu_K, rule=rule, gap=gap, obstruction=obstruction)
-    return label, evidence
+    # mu_K = b + mu(m^e) makes sense for d = 2 and ell = 1 as well; the gap does not
+    evidence = Evidence(d=d, ell=ell, b=b, mu_K=b + mu_tail, rule=rule,
+                        gap=gap if (d >= 3 and ell >= 2) else None, obstruction=obstruction)
+    return RULE_LABELS[rule], evidence
 
 
 def table(d_max: int, ell_max: int) -> dict[tuple[int, int], tuple[ClassLabel, Evidence]]:
     """Full grid for 2 <= d <= d_max, 1 <= ell <= ell_max; refuses past _TABLE_CELL_CAP cells.
 
-    Each d reads the counts of all its cells off one _mu_row, and checks its
-    cell (d, ell_max) against classify, whose counts come from binom.
+    Each d reads the counts of all its cells off one _mu_row, and labels
+    each cell from _cell's ints, building only its Evidence.  Its cell
+    (d, ell_max) is checked against classify, whose counts come from binom.
     """
     check_int("d_max", d_max, 2)
     check_int("ell_max", ell_max, 1)
@@ -152,7 +154,8 @@ def table(d_max: int, ell_max: int) -> dict[tuple[int, int], tuple[ClassLabel, E
     for d in range(2, d_max + 1):
         row = _mu_row(d, 2 * ell_max - 1)
         for ell in range(1, ell_max + 1):
-            grid[(d, ell)] = _label(_ladder(_sides(d, ell, row)))
+            b, _, e, _, _, gap, mu_tail = _cell(d, ell, row)
+            grid[(d, ell)] = _label(d, ell, b, e, gap, mu_tail)
         if grid[(d, ell_max)] != classify(d, ell_max):
             raise InvariantBreach(f"table row disagrees with classify at d={d}, ell={ell_max}")
     return grid

@@ -15,7 +15,7 @@ import json
 import sys
 from random import Random
 
-from .binomials import ineq_gap_telescoped, ineq_sides
+from .binomials import _cell, _mu_row, ineq_gap_telescoped
 from .certificates import build_certificate_2dim, verify_claim_containment
 from .classify import ClassLabel, classify, render_ascii, render_csv, render_json, table
 from .errors import InvariantBreach, check_int
@@ -64,27 +64,21 @@ def cmd_lemma_ineq(args: argparse.Namespace) -> int:
     cells = 0
     gaps = []
     counterexample = None
+    # the direct sides of each d come off one row of counts; the telescoped
+    # walk, from binom, checks every one of them independently
     for d in range(3, args.dmax + 1):
+        row = _mu_row(d, 2 * args.lmax - 1)
         for ell in range(2, args.lmax + 1):
-            sides = ineq_sides(d, ell)
+            _, _, _, lhs, rhs, gap, _ = _cell(d, ell, row)
             telescoped = ineq_gap_telescoped(d, ell)
-            if telescoped != sides.gap:
-                raise InvariantBreach(
-                    f"telescoped sum {telescoped} != direct gap {sides.gap} at d={d}, ell={ell}"
-                )
+            if telescoped != gap:
+                raise InvariantBreach(f"telescoped sum {telescoped} != direct gap {gap} at d={d}, ell={ell}")
             cells += 1
             divides = (d - 1) % ell == 0
             if args.report_gaps:
-                gaps.append({"d": d, "ell": ell, "gap": sides.gap, "divides": divides})
-            if sides.gap < 0 or (sides.gap == 0) != divides:
-                counterexample = {
-                    "d": d,
-                    "ell": ell,
-                    "lhs": sides.lhs,
-                    "rhs": sides.rhs,
-                    "gap": sides.gap,
-                    "divides": divides,
-                }
+                gaps.append({"d": d, "ell": ell, "gap": gap, "divides": divides})
+            if gap < 0 or (gap == 0) != divides:
+                counterexample = {"d": d, "ell": ell, "lhs": lhs, "rhs": rhs, "gap": gap, "divides": divides}
                 break
         if counterexample:
             break

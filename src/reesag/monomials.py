@@ -27,9 +27,12 @@ Key choices:
   dims 2-5), and from 10^6 pairs on before.  Python's sums cost 0.05-0.17
   us a pair and numpy saves at most 0.15 of them, against 140-150 ms to
   import it, so a product below 10^6 pairs never makes a process load it;
-* a product refuses past 10^7 generator pairs (about 80 MB of int64 sums),
-  colength past 10^8 box cells and m^k past 10^6 generators (about 190 B
-  each in dim 5), before anything is built (``errors.check_budget``);
+* a product or an intersection refuses past 10^7 generator pairs (about
+  80 MB of a product's int64 sums, up to about 1 GB of an intersection's
+  tuples), colength past 10^8 box cells and m^k past 10^6 generators
+  (about 190 B each in dim 5), before anything is built
+  (``errors.check_budget``); a pairwise colon is a chain of
+  intersections, so each of its steps is bounded too;
 * the antichain tests divisibility on tuples; in two variables it is the
   staircase: sorted by (x, y), a pair is minimal iff its y is strictly
   below every earlier y, so minimal generators sorted by x have strictly
@@ -434,7 +437,9 @@ class MonomialIdeal:
         return functools.reduce(operator.mul, itertools.repeat(self, n - 1), self)
 
     def intersection(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        """The intersection ideal; refuses before forming any pair past _PRODUCT_PAIR_CAP pairs."""
         check_equal("dimension", other.dim, self.dim)
+        check_budget("intersection generator pairs", len(self.gens) * len(other.gens), _PRODUCT_PAIR_CAP)
         right = [h.exponents for h in other.gens]
         raw = {tuple(map(max, g.exponents, b)) for g in self.gens for b in right}
         return MonomialIdeal._of(self.dim, raw)
@@ -445,7 +450,8 @@ class MonomialIdeal:
         From _COLON_TABLE_PAIRS generator pairs on, and while the box fits the
         cell budget, read off a drop table.  Otherwise intersect over the
         generators m of other the colons self : (m), each generated by the
-        differences g - m clipped at 0 over the generators g of self.
+        differences g - m clipped at 0 over the generators g of self; each
+        intersection of that chain refuses past its pair budget.
         """
         check_equal("dimension", other.dim, self.dim)
         if other.is_zero:

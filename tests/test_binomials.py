@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import binom_pascal, count_exponent_vectors, pascal_table, telescoped_gap
 from reesag import ineq_sides
-from reesag.binomials import _mu_row, b_of, binom, ineq_gap_telescoped, mu_power
+from reesag.binomials import _cell, _mu_row, b_of, binom, ineq_gap_telescoped, mu_power
 
 
 def test_binom_frozen_values():
@@ -144,3 +144,10 @@ def test_mu_row_counts_exponent_vectors(d, k_max):
 @given(d=st.integers(1, 60), k_max=st.integers(0, 250))
 def test_mu_row_matches_binom(d, k_max):
     assert _mu_row(d, k_max) == [binom(k + d - 1, d - 1) for k in range(k_max + 1)]
+
+
+@settings(max_examples=200)
+@given(d=st.integers(2, 300), ell=st.integers(1, 150))
+def test_cell_reads_the_same_numbers_off_a_row(d, ell):
+    # 2*ell - 1 is the shortest row a table with ell_max = ell builds; an index past it would raise
+    assert _cell(d, ell, _mu_row(d, 2 * ell - 1)) == _cell(d, ell)

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from reesag import binomials, classify, ineq_sides
+from reesag import binomials, canonical, classify, ineq_sides
 from reesag.binomials import _mu_row
 from reesag.canonical import mu_K, notgraded_obstruction
 from reesag.classify import (
@@ -215,6 +215,16 @@ def test_table_reads_binom_once_per_row_not_once_per_cell(monkeypatch):
     table(40, 20)
     # the four counts of the cell (d, 20) that classify re-derives for each d
     assert len(calls) == 4 * 39
+
+
+def test_table_builds_ladders_only_for_the_checked_cells(monkeypatch):
+    built = []
+    for module, name in ((binomials, "IneqSides"), (canonical, "CanonicalLadder")):
+        cls = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, cls=cls, **k: built.append(cls.__name__) or cls(*a, **k))
+    table(40, 20)
+    # the cell (d, 20) that classify re-derives for each d, and no other
+    assert sorted(built) == ["CanonicalLadder"] * 39 + ["IneqSides"] * 39
 
 
 @pytest.mark.parametrize(

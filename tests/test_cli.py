@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from reesag import ineq_sides, maximal_power
+from reesag import cli, ineq_sides, maximal_power
+from reesag.binomials import _mu_row
 from reesag.cli import main
 from reesag.monomials import parse_ideal
 
@@ -98,6 +99,32 @@ def test_lemma_ineq_json_with_gaps(capsys):
     for row in payload["gaps"]:
         assert row["gap"] == ineq_sides(row["d"], row["ell"]).gap
         assert row["divides"] == ((row["d"] - 1) % row["ell"] == 0)
+
+
+def test_lemma_ineq_row_gaps_equal_ineq_sides(capsys):
+    code, out, _ = run_cli(
+        capsys, "lemma-ineq", "--dmax", "60", "--lmax", "30", "--report-gaps", "--format", "json"
+    )
+    assert code == 0
+    payload = validated(out, "lemma_ineq")
+    want = [(d, ell, ineq_sides(d, ell).gap) for d in range(3, 61) for ell in range(2, 31)]
+    assert [(row["d"], row["ell"], row["gap"]) for row in payload["gaps"]] == want
+
+
+@pytest.mark.parametrize(
+    "corrupt, first_cell",
+    [
+        (lambda d, k: _mu_row(d + 1, k), "d=3, ell=2"),
+        # mu(m^5) first enters a cell at (3, 5), as mu(m^ell)
+        (lambda d, k: [mu + (j == 5) for j, mu in enumerate(_mu_row(d, k))], "d=3, ell=5"),
+    ],
+    ids=["wrong-dimension", "one-entry"],
+)
+def test_corrupted_row_breaks_lemma_ineq(capsys, monkeypatch, corrupt, first_cell):
+    monkeypatch.setattr(cli, "_mu_row", corrupt)
+    code, out, err = run_cli(capsys, "lemma-ineq", "--dmax", "6", "--lmax", "5")
+    assert code == 3 and out == ""
+    assert err.startswith("internal invariant breach: telescoped sum ") and err.endswith(f" at {first_cell}\n")
 
 
 def test_lemma_ineq_report_gaps_ascii(capsys):

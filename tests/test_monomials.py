@@ -367,7 +367,7 @@ def test_multiplicity_budget_refuses_before_the_hull():
     try:
         with pytest.raises(
             ValueError,
-            match="^multiplicity of 1820 generators in dim 5 may take 6038508840 facet tests; refusing beyond 10000000$",
+            match="^multiplicity facet tests of 1820 generators in dim 5: 6038508840 over the budget of 10000000$",
         ):
             I.multiplicity()
         _, peak = tracemalloc.get_traced_memory()
@@ -730,6 +730,40 @@ def test_product_budget_refuses_before_allocating(monkeypatch):
     assert peak < 100_000
     # the budget counts pairs, so a long factor passes against a short one
     assert (I * maximal_power(5, 1)).num_gens() == mu_power(5, 21)
+
+
+def test_intersection_budget_refuses_before_allocating():
+    # a staircase of 3 164 generators in dim 2: its self-intersection would form 10 010 896 pairs
+    I = ideal(2, *[(a, 3163 - a) for a in range(3164)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^intersection generator pairs: 10010896 over the budget of 10000000$"):
+            I.intersection(I)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    # the budget counts pairs, so a long side passes against a short one
+    assert I.intersection(ideal(2, (1, 0))).num_gens() == 3163
+
+
+def test_colon_generator_path_refuses_before_intersecting():
+    # x's side, 2**70 + 1 cells, refuses the drop table; the divisor (x, y)
+    # then makes two colons of 3 202 generators each, whose intersection
+    # would form 10 249 602 pairs, about 1 GB of tuples
+    N = 3200
+    Q = ideal(3, (2**70, 0, 0), *[(0, a, N - a) for a in range(N + 1)])
+    D = ideal(3, (1, 0, 0), (0, 1, 0))
+    assert _table_colon([g.exponents for g in Q.gens], [g.exponents for g in D.gens]) is None
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^intersection generator pairs: 10249602 over the budget of 10000000$"):
+            Q.colon(D)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the two single colons, about 1.5 MB, and not one pair
+    assert peak < 3_000_000
 
 
 def test_maximal_power_budget_refuses_before_allocating():
