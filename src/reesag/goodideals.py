@@ -49,15 +49,9 @@ class GoodIdealReport:
         }
 
 
-def _flattest(candidates: Iterable[Monomial]) -> Monomial:
+def _flattest(candidates: Iterable[tuple[int, ...]]) -> Monomial:
     # deterministic pick: flattest exponent multiset first, then lex-largest
-    return min(
-        candidates,
-        key=lambda m: (
-            tuple(sorted(m.exponents, reverse=True)),
-            tuple(-e for e in m.exponents),
-        ),
-    )
+    return Monomial(min(candidates, key=lambda e: (sorted(e, reverse=True), [-x for x in e])))
 
 
 def _check_pair(ideal: MonomialIdeal, reduction: MonomialIdeal) -> None:
@@ -77,7 +71,7 @@ def is_stable(ideal: MonomialIdeal, reduction: MonomialIdeal) -> tuple[bool, Mon
     qi = reduction * ideal
     if square == qi:
         return True, None
-    offending = set(square.gens).difference(qi.gens)
+    offending = set(square._exps).difference(qi._exps)
     if not offending:
         raise InvariantBreach("I^2 != QI but no generator of I^2 escapes QI")
     return False, _flattest(offending)
@@ -92,7 +86,7 @@ def good_report(ideal: MonomialIdeal, reduction: MonomialIdeal) -> GoodIdealRepo
     if witness is None and not colon_closed:
         # stability holds on this path, so I lies inside Q:I and the only
         # possible failure is an escape upward
-        escaped = set(colon_result.gens).difference(ideal.gens)
+        escaped = set(colon_result._exps).difference(ideal._exps)
         if not escaped:
             raise InvariantBreach("colon differs from I yet no colon generator escapes I")
         witness = _flattest(escaped)

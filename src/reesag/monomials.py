@@ -17,7 +17,11 @@ Key choices:
   That check runs once, at the boundary: ``Monomial(...)`` and
   ``MonomialIdeal(dim, iterable)`` check what they are given, while every
   result the engine computes is built by ``MonomialIdeal._of`` straight
-  from exponent tuples, with one unchecked Monomial per minimal generator;
+  from exponent tuples;
+* an ideal stores only its minimal generators' exponent tuples, in
+  canonical order, and every operation reads them.  ``.gens`` builds one
+  Monomial per generator on its first read and keeps them, so an ideal
+  the engine computes and nobody prints builds none;
 * a product packs each exponent tuple into one int, so each pair is one
   int addition, and unpacks the distinct sums with divmod; intersections
   and colons form each pair as one ``tuple(map(...))`` (max, or the
@@ -135,7 +139,7 @@ class Monomial:
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         check_equal("dimension", self.dim, other.dim)
-        return _monomial(tuple(map(operator.add, self.exponents, other.exponents)))
+        return Monomial(tuple(map(operator.add, self.exponents, other.exponents)))
 
     def as_list(self) -> list[int]:
         return list(self.exponents)
@@ -151,19 +155,6 @@ class Monomial:
             elif e > 1:
                 parts.append(f"{name}^{e}")
         return "*".join(parts)
-
-
-_new = object.__new__
-_set = object.__setattr__
-
-
-def _monomial(e: tuple[int, ...]) -> Monomial:
-    """A Monomial on an exponent tuple the engine computed, so already valid: no __post_init__."""
-    m = _new(Monomial)
-    # as the frozen dataclass's __init__ stores it; writing m.__dict__ instead
-    # would materialize a dict and cost 64 more bytes per Monomial
-    _set(m, "exponents", e)
-    return m
 
 
 def _var_names(dim: int) -> list[str]:
@@ -319,21 +310,23 @@ class MonomialIdeal:
 
     Value semantics: instances are immutable, compare by (dim, generators)
     and hash.  The empty antichain is the zero ideal; the antichain {1} is
-    the unit ideal.  The constructor checks its input; every result the
-    engine computes is built by _of from exponent tuples instead.
+    the unit ideal.  The stored form is _exps, the generators' exponent
+    tuples in canonical order; .gens builds their Monomials on its first
+    read and keeps them.  The constructor checks its input; every result
+    the engine computes is built by _of from exponent tuples instead.
     """
 
-    __slots__ = ("dim", "gens", "_stair")
+    __slots__ = ("dim", "_exps", "_gens", "_stair")
 
     def __init__(self, dim: int, gens: Iterable[Monomial] = ()):
         check_int("dim", dim, 1)
-        by_exps = {}
+        exps = []
         for g in gens:
             e = g.exponents
             if len(e) != dim:
                 check_equal("dimension", len(e), dim)
-            by_exps[e] = g
-        self._fill(dim, tuple(map(by_exps.__getitem__, _antichain(by_exps))))
+            exps.append(e)
+        self._fill(dim, _antichain(exps))
 
     @classmethod
     def _of(cls, dim: int, exps: Iterable[tuple[int, ...]], minimal: bool = False) -> "MonomialIdeal":
@@ -341,16 +334,16 @@ class MonomialIdeal:
 
         Each tuple must have dim non-negative int entries.  With minimal set,
         exps are already the minimal generators, each once, and are only
-        put in canonical order.  One Monomial is built per minimal generator.
+        put in canonical order.
         """
-        kept = _canonical(list(exps)) if minimal else _antichain(exps)
-        ideal = _new(cls)
-        ideal._fill(dim, tuple(map(_monomial, kept)))
+        ideal = object.__new__(cls)
+        ideal._fill(dim, _canonical(list(exps)) if minimal else _antichain(exps))
         return ideal
 
-    def _fill(self, dim: int, gens: tuple[Monomial, ...]) -> None:
+    def _fill(self, dim: int, exps: list[tuple[int, ...]]) -> None:
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "_exps", tuple(exps))
+        object.__setattr__(self, "_gens", None)
         object.__setattr__(self, "_stair", None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -359,26 +352,33 @@ class MonomialIdeal:
     # -- structure ---------------------------------------------------------
 
     @property
+    def gens(self) -> tuple[Monomial, ...]:
+        """The minimal generators in canonical order; built on the first read."""
+        if self._gens is None:
+            object.__setattr__(self, "_gens", tuple(map(Monomial, self._exps)))
+        return self._gens
+
+    @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self._exps
 
     @property
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].is_unit
+        return len(self._exps) == 1 and not any(self._exps[0])
 
     def num_gens(self) -> int:
-        return len(self.gens)
+        return len(self._exps)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
-        return self.dim == other.dim and self.gens == other.gens
+        return self.dim == other.dim and self._exps == other._exps
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.gens))
+        return hash((self.dim, self._exps))
 
     def __repr__(self) -> str:
-        inside = ", ".join(str(g) for g in self.gens) if self.gens else "0"
+        inside = ", ".join(str(g) for g in self.gens) if self._exps else "0"
         return f"MonomialIdeal({self.dim}; {inside})"
 
     # -- membership --------------------------------------------------------
@@ -386,7 +386,7 @@ class MonomialIdeal:
     def _staircase(self) -> tuple[list[int], list[int]]:
         """A dim-2 ideal's generators as xs ascending and ys strictly descending; built once."""
         if self._stair is None:
-            pairs = sorted(g.exponents for g in self.gens)
+            pairs = sorted(self._exps)
             object.__setattr__(self, "_stair", ([x for x, _ in pairs], [y for _, y in pairs]))
         return self._stair
 
@@ -398,7 +398,7 @@ class MonomialIdeal:
             i = bisect.bisect_right(xs, e[0])
             return i > 0 and ys[i - 1] <= e[1]
         le = operator.le
-        return any(all(map(le, g.exponents, e)) for g in self.gens)
+        return any(all(map(le, g, e)) for g in self._exps)
 
     def member(self, mono: Monomial) -> bool:
         check_equal("dimension", mono.dim, self.dim)
@@ -410,39 +410,36 @@ class MonomialIdeal:
     def contains(self, other: "MonomialIdeal") -> bool:
         """Ideal containment other subset-of self."""
         check_equal("dimension", other.dim, self.dim)
-        has = self._has
-        return all(has(g.exponents) for g in other.gens)
+        return all(map(self._has, other._exps))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         check_equal("dimension", other.dim, self.dim)
-        return MonomialIdeal(self.dim, self.gens + other.gens)
+        return MonomialIdeal._of(self.dim, self._exps + other._exps)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """The product ideal; refuses before forming any pair past _PRODUCT_PAIR_CAP pairs."""
         check_equal("dimension", other.dim, self.dim)
-        check_budget("product generator pairs", len(self.gens) * len(other.gens), _PRODUCT_PAIR_CAP)
-        if not self.gens or not other.gens:
+        a, b = self._exps, other._exps
+        check_budget("product generator pairs", len(a) * len(b), _PRODUCT_PAIR_CAP)
+        if not a or not b:
             return MonomialIdeal._of(self.dim, ())
         # in canonical order the last generator has the largest degree
-        base = 1 + sum(self.gens[-1].exponents) + sum(other.gens[-1].exponents)
-        sums = _distinct_sums([g.exponents for g in self.gens], [h.exponents for h in other.gens], base)
-        return MonomialIdeal._of(self.dim, sums)
+        return MonomialIdeal._of(self.dim, _distinct_sums(a, b, 1 + sum(a[-1]) + sum(b[-1])))
 
     def __pow__(self, n: int) -> "MonomialIdeal":
         check_int("power n", n, 0)
         if n == 0:
-            return MonomialIdeal(self.dim, (Monomial.unit(self.dim),))
+            return MonomialIdeal._of(self.dim, ((0,) * self.dim,), minimal=True)
         return functools.reduce(operator.mul, itertools.repeat(self, n - 1), self)
 
     def intersection(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """The intersection ideal; refuses before forming any pair past _PRODUCT_PAIR_CAP pairs."""
         check_equal("dimension", other.dim, self.dim)
-        check_budget("intersection generator pairs", len(self.gens) * len(other.gens), _PRODUCT_PAIR_CAP)
-        right = [h.exponents for h in other.gens]
-        raw = {tuple(map(max, g.exponents, b)) for g in self.gens for b in right}
-        return MonomialIdeal._of(self.dim, raw)
+        a, b = self._exps, other._exps
+        check_budget("intersection generator pairs", len(a) * len(b), _PRODUCT_PAIR_CAP)
+        return MonomialIdeal._of(self.dim, {tuple(map(max, g, h)) for g in a for h in b})
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """The colon ideal self : other = {u : u*other inside self}.
@@ -458,9 +455,9 @@ class MonomialIdeal:
             raise ValueError("colon by the zero ideal is the whole ring; not represented")
         if self.is_zero:
             return self
-        left = [g.exponents for g in self.gens]
-        if len(left) * len(other.gens) >= _COLON_TABLE_PAIRS:
-            table = _table_colon(left, [m.exponents for m in other.gens])
+        left, right = self._exps, other._exps
+        if len(left) * len(right) >= _COLON_TABLE_PAIRS:
+            table = _table_colon(left, right)
             if table is not None:
                 return MonomialIdeal._of(self.dim, table, minimal=True)
 
@@ -468,7 +465,7 @@ class MonomialIdeal:
             raw = {tuple(a - b if a > b else 0 for a, b in zip(e, m)) for e in left}
             return MonomialIdeal._of(self.dim, raw)
 
-        return functools.reduce(MonomialIdeal.intersection, (single(m.exponents) for m in other.gens))
+        return functools.reduce(MonomialIdeal.intersection, map(single, right))
 
     # -- numerics ----------------------------------------------------------
 
@@ -488,7 +485,7 @@ class MonomialIdeal:
             return box[0]
         top = max(box)
         drop = box.index(top)
-        t = _drop_table([g.exponents for g in self.gens], drop, box[:drop] + box[drop + 1 :], top)
+        t = _drop_table(self._exps, drop, box[:drop] + box[drop + 1 :], top)
         return int(t.sum())
 
     def multiplicity(self) -> int:
@@ -506,14 +503,13 @@ class MonomialIdeal:
         pure = self._pure_powers()
         from ._newton import multiplicity
 
-        return multiplicity([g.exponents for g in self.gens], pure)
+        return multiplicity(self._exps, pure)
 
     def _pure_powers(self) -> list[int]:
         """a_k with x_k^(a_k) a generator, for every variable index k; refuses an ideal that is not m-primary."""
         dim = self.dim
         box = [0] * dim
-        for g in self.gens:
-            e = g.exponents
+        for e in self._exps:
             if e.count(0) == dim - 1:
                 side = max(e)
                 box[e.index(side)] = side
@@ -531,7 +527,7 @@ def maximal_power(dim: int, degree: int) -> MonomialIdeal:
 
 def monomials_of_degree(dim: int, degree: int) -> list[Monomial]:
     """All exponent vectors of the given total degree (stars and bars)."""
-    return list(map(_monomial, _of_degree(dim, degree)))
+    return list(map(Monomial, _of_degree(dim, degree)))
 
 
 def _of_degree(dim: int, degree: int) -> list[tuple[int, ...]]:
@@ -573,11 +569,9 @@ def sufficient_colon_bound(ideal: MonomialIdeal) -> int:
     Every minimal generator u of ideal : J satisfies, componentwise,
     u_c <= max over generators g of ideal of g_c: u is an lcm of clipped
     differences g - m, and neither step exceeds that max.  So the degree of
-    the componentwise max is enough.
+    the componentwise max is enough; 0 for the zero ideal.
     """
-    if ideal.is_zero:
-        return 0
-    return sum(max(g.exponents[k] for g in ideal.gens) for k in range(ideal.dim))
+    return sum(map(max, zip(*ideal._exps)))
 
 
 def random_ideal(rng: Random, dim: int, max_degree: int = 5, max_gens: int = 4) -> MonomialIdeal:
@@ -649,5 +643,5 @@ def format_ideal(ideal: MonomialIdeal, header: str | None = None) -> str:
     lines = []
     if header:
         lines.append(f"# {header}")
-    lines.extend(" ".join(str(e) for e in g.exponents) for g in ideal.gens)
+    lines.extend(" ".join(map(str, e)) for e in ideal._exps)
     return "\n".join(lines) + "\n"

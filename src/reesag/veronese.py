@@ -30,7 +30,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import check_budget, check_equal, check_int
-from .monomials import _PRODUCT_PAIR_CAP, MonomialIdeal, _distinct_sums
+from .monomials import _DEGREE_GEN_CAP, _PRODUCT_PAIR_CAP, MonomialIdeal, _distinct_sums
 
 __all__ = [
     "Pair",
@@ -147,13 +147,15 @@ class VeroneseInstance:
         return self.maximal_power(1)
 
     def maximal_power(self, k: int) -> SemigroupModule:
-        """m^k, generated by every monomial of total degree k*r."""
+        """m^k, generated by every monomial of total degree k*r; refuses past the engine's m^k budget."""
         check_int("k", k, 0)
         deg = k * self.r
+        check_budget(f"monomials of degree {deg} in dim 2", deg + 1, _DEGREE_GEN_CAP)
         return SemigroupModule(self.r, frozenset((deg - j, j) for j in range(deg + 1)))
 
     def canonical(self) -> SemigroupModule:
-        """K, generated by the interior monomials of degree r."""
+        """K, generated by the interior monomials of degree r; refuses past the engine's m^k budget."""
+        check_budget(f"interior monomials of degree {self.r}", self.r - 1, _DEGREE_GEN_CAP)
         return SemigroupModule(
             self.r, frozenset((self.r - j, j) for j in range(1, self.r))
         )

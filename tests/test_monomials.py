@@ -493,19 +493,43 @@ def test_engine_matches_pairwise_oracles(case):
         assert I.colon(J) == brute_colon(I, J, sufficient_colon_bound(I))
 
 
-# -- Monomial objects are built once per minimal generator, never per pair ----
+@settings(max_examples=100)
+@given(case=ideal_pairs())
+def test_both_construction_paths_agree(case):
+    # the checked constructor on Monomials and _of on the same exponent tuples
+    # store one ideal; the sum is _of on the stored tuples of both terms
+    dim, a, b = case
+    I, J = MonomialIdeal(dim, map(Monomial, a)), MonomialIdeal(dim, map(Monomial, b))
+    for public, of in [(I, MonomialIdeal._of(dim, a)), (J, MonomialIdeal._of(dim, b))]:
+        assert public == of and hash(public) == hash(of) and repr(public) == repr(of)
+        assert format_ideal(public) == format_ideal(of)
+        assert _exps(public.gens) == _exps(of.gens)
+    assert MonomialIdeal._of(dim, a) + MonomialIdeal._of(dim, b) == MonomialIdeal(dim, map(Monomial, a + b)) == I + J
+
+
+# -- Monomial objects are built on the first .gens read, one per generator ----
 
 
 def _built_during(monkeypatch, action):
-    """Monomials built while action runs: checked public ones (__post_init__)
-    and the engine's trusted ones (monomials._monomial)."""
+    """The number of Monomials built while action runs (each passes __post_init__), and its result."""
     calls = []
-    post_init, trusted = Monomial.__post_init__, monomials._monomial
+    post_init = Monomial.__post_init__
     with monkeypatch.context() as patch:
         patch.setattr(Monomial, "__post_init__", lambda self: calls.append(self) or post_init(self))
-        patch.setattr(monomials, "_monomial", lambda e: calls.append(e) or trusted(e))
-        action()
-    return len(calls)
+        result = action()
+    return len(calls), result
+
+
+def _gens_built_on_first_read(monkeypatch, action):
+    """action's ideal: action builds no Monomial, the first .gens read one per
+    generator, and a second read none, returning the same tuple."""
+    built, result = _built_during(monkeypatch, action)
+    assert built == 0
+    built, first = _built_during(monkeypatch, lambda: result.gens)
+    assert built == result.num_gens() == len(first)
+    built, again = _built_during(monkeypatch, lambda: result.gens)
+    assert built == 0 and again is first
+    return result
 
 
 def test_product_builds_one_monomial_per_distinct_sum(monkeypatch):
@@ -514,12 +538,14 @@ def test_product_builds_one_monomial_per_distinct_sum(monkeypatch):
     pairs = [(g.exponents, h.exponents) for g in m3.gens for h in m2.gens]
     distinct = {tuple(map(sum, zip(p, q))) for p, q in pairs}
     assert (len(pairs), len(distinct)) == (200, 56)
-    assert _built_during(monkeypatch, lambda: m3 * m2) == len(product_gens(_exps(m3.gens), _exps(m2.gens))) == 56
+    product = _gens_built_on_first_read(monkeypatch, lambda: m3 * m2)
+    assert _exps(product.gens) == product_gens(_exps(m3.gens), _exps(m2.gens)) and product.num_gens() == 56
     # (x^2, xy, y^3)^2: x^2 y^3 is a distinct sum, but x^2 y^2 divides it
     a = [(2, 0), (1, 1), (0, 3)]
     distinct = {tuple(map(sum, zip(p, q))) for p in a for q in a}
     I = ideal(2, *a)
-    assert _built_during(monkeypatch, lambda: I * I) == len(product_gens(a, a)) == 5 < len(distinct) == 6
+    square = _gens_built_on_first_read(monkeypatch, lambda: I * I)
+    assert square.num_gens() == len(product_gens(a, a)) == 5 < len(distinct) == 6
 
 
 def test_intersection_builds_one_monomial_per_distinct_lcm(monkeypatch):
@@ -527,30 +553,29 @@ def test_intersection_builds_one_monomial_per_distinct_lcm(monkeypatch):
     I, J = maximal_power(3, 2), maximal_power(3, 1)
     distinct = {lcm(g.exponents, h.exponents) for g in I.gens for h in J.gens}
     assert (I.num_gens() * J.num_gens(), len(distinct)) == (18, 13)
-    assert _built_during(monkeypatch, lambda: I.intersection(J)) == len(lcm_gens(_exps(I.gens), _exps(J.gens))) == 6
+    meet = _gens_built_on_first_read(monkeypatch, lambda: I.intersection(J))
+    assert _exps(meet.gens) == lcm_gens(_exps(I.gens), _exps(J.gens)) and meet.num_gens() == 6
 
 
 def test_colon_builds_one_monomial_per_distinct_result(monkeypatch):
-    # colon = intersection over the divisor's generators m, in order, of the
-    # single colons generated by the clipped differences g - m; each of those
-    # ideals builds one Monomial per minimal generator
+    # pairwise path: colon = intersection over the divisor's generators m, in
+    # order, of the single colons generated by the clipped differences g - m;
+    # none of those ideals builds a Monomial, the result one per generator
     I = ideal(3, (2, 1, 0), (2, 0, 1), (0, 2, 2), (3, 3, 0))
     J = ideal(3, (3, 1, 1), (0, 2, 2))
-    a = [g.exponents for g in I.gens]
+    a = _exps(I.gens)
     singles = [minimal_gens({colon_by(g, m.exponents) for g in a}) for m in J.gens]
-    expected = sum(map(len, singles))
     acc = singles[0]
     for single in singles[1:]:
         acc = minimal_gens({lcm(p, q) for p in acc for q in single})
-        expected += len(acc)
-    assert I.num_gens() * J.num_gens() > expected  # the pairs collide
-    assert _built_during(monkeypatch, lambda: I.colon(J)) == expected
+    assert I.num_gens() * J.num_gens() > sum(map(len, singles))  # the pairs collide
+    assert _exps(_gens_built_on_first_read(monkeypatch, lambda: I.colon(J)).gens) == acc
     principal = ideal(3, (3, 1, 1))
-    assert _built_during(monkeypatch, lambda: I.colon(principal)) == len(singles[0]) < I.num_gens()
-    # the table colon builds its result alone
+    assert _gens_built_on_first_read(monkeypatch, lambda: I.colon(principal)).num_gens() == len(singles[0]) < I.num_gens()
+    # table path
     Q, m6 = MonomialIdeal(3, (Monomial.variable(3, j, 6) for j in range(3))), maximal_power(3, 6)
     assert Q.num_gens() * m6.num_gens() >= monomials._COLON_TABLE_PAIRS
-    assert _built_during(monkeypatch, lambda: Q.colon(m6)) == Q.colon(m6).num_gens()
+    assert _gens_built_on_first_read(monkeypatch, lambda: Q.colon(m6)) == brute_colon(Q, m6, sufficient_colon_bound(Q))
 
 
 # -- the numpy side of the engine's size thresholds ------------------------------

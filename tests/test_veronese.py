@@ -81,13 +81,13 @@ def test_pairs_refuse_non_int_and_bad_shapes():
 
 
 def test_member_builds_no_monomial_once_the_class_ideals_exist(monkeypatch):
-    # the pair is checked once by member, not again by a Monomial per query
+    # the pair is checked once by member, not again by a Monomial per query;
+    # the class ideals hold exponent pairs, so building them builds none either
     m = module(3, (3, 0), (1, 2), (0, 6))
-    m.member((0, 0))  # builds the class ideals
     built = []
-    post_init, trusted = Monomial.__post_init__, monomials._monomial
+    post_init = Monomial.__post_init__
     monkeypatch.setattr(Monomial, "__post_init__", lambda self: built.append(self) or post_init(self))
-    monkeypatch.setattr(monomials, "_monomial", lambda e: built.append(e) or trusted(e))
+    assert not m.member((0, 0))  # builds the class ideals
     assert [m.member(p) for p in [(4, 2), (2, 1), (1, 5), (0, 3), (7, 5)]] == [True, False, True, False, True]
     assert built == []
 
@@ -123,6 +123,22 @@ def test_times_budget_refuses_before_allocating():
     try:
         with pytest.raises(ValueError, match="^product generator pairs: 16008001 over the budget of 10000000$"):
             m.times(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: VeroneseInstance(2).maximal_power(500_000), "monomials of degree 1000000 in dim 2: 1000001"),
+    (lambda: VeroneseInstance(1_000_002).canonical(), "interior monomials of degree 1000002: 1000001"),
+], ids=["maximal_power", "canonical"])
+def test_generator_budget_refuses_before_allocating(build, message):
+    # the engine's m^k budget, one generator past it; a million pairs is about 240 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{message} over the budget of 1000000$"):
+            build()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
