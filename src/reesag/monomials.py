@@ -23,14 +23,22 @@ Key choices:
   Monomial per generator on its first read and keeps them, so an ideal
   the engine computes and nobody prints builds none;
 * a product packs each exponent tuple into one int, so each pair is one
-  int addition, and unpacks the distinct sums with divmod; intersections
-  and colons form each pair as one ``tuple(map(...))`` (max, or the
-  difference clipped at 0).  While base**dim < 2**62, numpy adds the
-  packed int64s, sorts them and unpacks with divmod: from 2 048 pairs on
-  once it is loaded (it wins from about 64 pairs, 2-6x from 144 pairs in
-  dims 2-5), and from 10^6 pairs on before.  Python's sums cost 0.05-0.17
-  us a pair and numpy saves at most 0.15 of them, against 140-150 ms to
-  import it, so a product below 10^6 pairs never makes a process load it;
+  int addition, and unpacks the distinct sums column by column with
+  divmod.  When both factors are generated in one degree (in canonical
+  order their first and last generators have equal degrees), so is the
+  product, and every distinct sum is a minimal generator: distinct
+  monomials of one degree never divide each other (Herzog-Hibi, GTM 260,
+  ch. 1).  Then only the first d-1 coordinates are packed, the last is the
+  degree minus the others, and no antichain runs.  The paper's checks
+  multiply such ideals: powers of m, J = m^(ell-1) and principal ideals.
+  Intersections and colons form each pair as one ``tuple(map(...))`` (max,
+  or the difference clipped at 0).  While base**(packed coordinates) <
+  2**62, numpy adds the packed int64s, sorts them and unpacks with divmod:
+  from 2 048 pairs on once it is loaded (it wins from about 64 pairs, 2-6x
+  from 144 pairs in dims 2-5), and from 10^6 pairs on before.  Python's
+  sums cost 0.05-0.17 us a pair and numpy saves at most 0.15 of them,
+  against 140-150 ms to import it, so a product below 10^6 pairs never
+  makes a process load it;
 * a product or an intersection refuses past 10^7 generator pairs (about
   80 MB of a product's int64 sums, up to about 1 GB of an intersection's
   tuples), colength past 10^8 box cells and m^k past 10^6 generators
@@ -163,44 +171,55 @@ def _var_names(dim: int) -> list[str]:
     return [f"x{k}" for k in range(1, dim + 1)]
 
 
-def _distinct_sums(a: list[tuple[int, ...]], b: list[tuple[int, ...]], base: int) -> list[tuple[int, ...]]:
+def _distinct_sums(
+    a: list[tuple[int, ...]], b: list[tuple[int, ...]], base: int, degree: int | None = None
+) -> list[tuple[int, ...]]:
     """The distinct exponent-wise sums p + q over p in a, q in b (nonempty, one length).
 
     Each tuple is packed into one int in base, coordinate 0 most
     significant.  base exceeds every coordinate of every sum, so no field
-    carries and the packed sum is the sum of the packed ints.  From
-    _SUM_NUMPY_PAIRS pairs on if numpy is loaded, or _SUM_NUMPY_COLD_PAIRS if
-    not, and while every packed sum fits int64 (all are below base**dim),
-    numpy forms them in one array, sorts it in place and keeps each first
-    occurrence.
+    carries and the packed sum is the sum of the packed ints.  With degree
+    given, every p + q has that degree (dim >= 2): only the first dim-1
+    coordinates are packed, and each sum's last one is degree minus the
+    rest.  From _SUM_NUMPY_PAIRS pairs on if numpy is loaded, or
+    _SUM_NUMPY_COLD_PAIRS if not, and while every packed sum fits int64
+    (all are below base**(packed coordinates)), numpy forms them in one
+    array, sorts it in place and keeps each first occurrence.
     """
     dim = len(b[0])
-    weights = [base**k for k in range(dim - 1, -1, -1)]
+    packed = dim if degree is None else dim - 1
+    weights = [base**k for k in range(packed - 1, -1, -1)]
     pairs = len(a) * len(b)
-    if (pairs >= _SUM_NUMPY_PAIRS and ("numpy" in sys.modules or pairs >= _SUM_NUMPY_COLD_PAIRS)
-            and base**dim < 2**62):
+    vectorized = (pairs >= _SUM_NUMPY_PAIRS and ("numpy" in sys.modules or pairs >= _SUM_NUMPY_COLD_PAIRS)
+                  and base**packed < 2**62)
+    cols = []  # one column per packed coordinate, the least significant first
+    if vectorized:
         import numpy as np
 
         w = np.array(weights, dtype=np.int64)
-        v = np.add.outer(_int64_rows(a, dim) @ w, _int64_rows(b, dim) @ w).reshape(-1)
+        v = np.add.outer(_int64_rows(a, dim)[:, :packed] @ w, _int64_rows(b, dim)[:, :packed] @ w).reshape(-1)
         v.sort()
         v = v[np.concatenate(([True], v[1:] != v[:-1]))]
-        cols = []
-        for _ in range(dim - 1):
+        for _ in range(packed - 1):
             v, low = np.divmod(v, base)
             cols.append(low.tolist())
         cols.append(v.tolist())
-        return list(zip(*reversed(cols)))
-    pa = [sum(map(operator.mul, e, weights)) for e in a]
-    pb = [sum(map(operator.mul, e, weights)) for e in b]
-    out = []
-    for v in {x + y for x in pa for y in pb}:
-        e = [0] * dim
-        for k in range(dim - 1, 0, -1):
-            v, e[k] = divmod(v, base)
-        e[0] = v
-        out.append(tuple(e))
-    return out
+    else:
+        # map stops at the shorter of e and weights, so an unpacked last coordinate is skipped
+        pa = [sum(map(operator.mul, e, weights)) for e in a]
+        pb = [sum(map(operator.mul, e, weights)) for e in b]
+        v = {x + y for x in pa for y in pb}  # unmodified, so every pass over it runs in one order
+        for _ in range(packed - 1):
+            cols.append([x % base for x in v])
+            v = [x // base for x in v]
+        cols.append(v)
+    cols.reverse()
+    if degree is not None:
+        last = itertools.repeat(degree)
+        for c in cols:
+            last = map(operator.sub, last, c)
+        cols.append(last)
+    return list(zip(*cols))
 
 
 def _int64_rows(exps: list[tuple[int, ...]], dim: int):
@@ -419,14 +438,21 @@ class MonomialIdeal:
         return MonomialIdeal._of(self.dim, self._exps + other._exps)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """The product ideal; refuses before forming any pair past _PRODUCT_PAIR_CAP pairs."""
+        """The product ideal; refuses before forming any pair past _PRODUCT_PAIR_CAP pairs.
+
+        If both factors are generated in one degree (dim >= 2), every distinct
+        sum has that degree and is a minimal generator, so no antichain runs.
+        """
         check_equal("dimension", other.dim, self.dim)
         a, b = self._exps, other._exps
         check_budget("product generator pairs", len(a) * len(b), _PRODUCT_PAIR_CAP)
         if not a or not b:
             return MonomialIdeal._of(self.dim, ())
-        # in canonical order the last generator has the largest degree
-        return MonomialIdeal._of(self.dim, _distinct_sums(a, b, 1 + sum(a[-1]) + sum(b[-1])))
+        # in canonical order the first generator has the least degree and the last the largest
+        top = sum(a[-1]) + sum(b[-1])
+        if self.dim > 1 and sum(a[0]) + sum(b[0]) == top:
+            return MonomialIdeal._of(self.dim, _distinct_sums(a, b, 1 + top, top), minimal=True)
+        return MonomialIdeal._of(self.dim, _distinct_sums(a, b, 1 + top))
 
     def __pow__(self, n: int) -> "MonomialIdeal":
         check_int("power n", n, 0)
@@ -553,14 +579,19 @@ def brute_colon(ideal: MonomialIdeal, other: MonomialIdeal, degree_bound: int) -
     Pure truncation semantics: the result is exactly the colon when every
     minimal colon generator has degree <= degree_bound.  The componentwise
     max of ideal's generators is divisible by every minimal colon generator,
-    so its degree is always a sufficient bound.
+    so its degree is always a sufficient bound.  Each candidate is tested by
+    membership alone, one tuple sum per divisor generator: no product,
+    intersection or colon of the engine is used.
     """
     check_equal("dimension", other.dim, ideal.dim)
     check_int("degree_bound", degree_bound, 0)
     if other.is_zero:
         raise ValueError("colon by the zero ideal is the whole ring; not represented")
-    candidates = monomials_up_to_degree(ideal.dim, degree_bound)
-    return MonomialIdeal(ideal.dim, (u for u in candidates if all(ideal.member(u * m) for m in other.gens)))
+    candidates = itertools.chain.from_iterable(_of_degree(ideal.dim, deg) for deg in range(degree_bound + 1))
+    has, add = ideal._has, operator.add
+    return MonomialIdeal._of(
+        ideal.dim, (u for u in candidates if all(has(tuple(map(add, u, m))) for m in other._exps))
+    )
 
 
 def sufficient_colon_bound(ideal: MonomialIdeal) -> int:

@@ -600,28 +600,32 @@ PATHS = ("python", "numpy")
 
 
 @pytest.mark.parametrize(
-    "a, b, numpy",
+    "a, b, degree, numpy",
     [
         # base = 2**31 - 1: every packed sum is below base**2 < 2**62
-        ([(2**30 - 1, 0), (0, 2**30 - 1)], [(2**30 - 1, 0), (1, 1), (0, 0)], True),
+        ([(2**30 - 1, 0), (0, 2**30 - 1)], [(2**30 - 1, 0), (1, 1), (0, 0)], None, True),
         # base = 2**31: base**2 = 2**62 is already refused
-        ([(2**30, 0)], [(2**30 - 1, 0), (0, 2**30 - 1)], False),
+        ([(2**30, 0)], [(2**30 - 1, 0), (0, 2**30 - 1)], None, False),
         # base**3 >= 2**62 although every sum would fit
-        ([(2**20, 0, 0), (0, 1, 5)], [(2**20 - 1, 1, 0), (0, 0, 0)], False),
+        ([(2**20, 0, 0), (0, 1, 5)], [(2**20 - 1, 1, 0), (0, 0, 0)], None, False),
         # 2**62 + 2**62 overflows int64 in one field
-        ([(2**62,)], [(2**62,), (3,)], False),
-        ([(2**62, 1), (1, 2**62)], [(2**62, 0), (0, 2**62)], False),
+        ([(2**62,)], [(2**62,), (3,)], None, False),
+        ([(2**62, 1), (1, 2**62)], [(2**62, 0), (0, 2**62)], None, False),
+        # one degree: base**3 >= 2**62, but only two coordinates are packed and base**2 < 2**62
+        ([(2**25, 0, 0), (0, 0, 2**25)], [(2**25 - 1, 1, 0), (0, 2**25, 0)], 2**26, True),
     ],
-    ids=["base^2-below-2^62", "base^2-at-2^62", "base^3-above-2^62", "dim1-2^63", "dim2-2^63"],
+    ids=["base^2-below-2^62", "base^2-at-2^62", "base^3-above-2^62", "dim1-2^63", "dim2-2^63",
+         "one-degree-base^3-above-2^62"],
 )
-def test_distinct_sums_take_numpy_only_below_2_to_62(monkeypatch, a, b, numpy):
+def test_distinct_sums_take_numpy_only_below_2_to_62(monkeypatch, a, b, degree, numpy):
     base = 1 + max(map(sum, a)) + max(map(sum, b))
-    assert (base ** len(a[0]) < 2**62) == numpy
+    assert (base ** (len(a[0]) - (degree is not None)) < 2**62) == numpy
+    assert degree is None or base ** len(a[0]) >= 2**62
     packed = []
     rows = monomials._int64_rows
     monkeypatch.setattr(monomials, "_int64_rows", lambda *args: packed.append(1) or rows(*args))
     with engine_path("numpy"):
-        got = _distinct_sums(a, b, base)
+        got = _distinct_sums(a, b, base, degree)
     assert bool(packed) == numpy
     assert sorted(got) == sorted({tuple(map(operator.add, p, q)) for p in a for q in b})
     assert all(type(e) is int for sums in got for e in sums)
@@ -673,6 +677,64 @@ def test_product_with_huge_exponents_matches_oracle(data):
     for path in PATHS:
         with engine_path(path):
             assert _exps((I * J).gens) == product_gens(a, b), path
+
+
+@st.composite
+def one_degree_gens(draw, dim):
+    """1 to 5 generators of one degree in dim variables: small degrees, the unit
+    ideal among them, or degrees from 2**62 on, so that exponents pass 2**62."""
+    degree = draw(st.one_of(st.integers(0, 4), st.sampled_from([2**62 - 1, 2**62, 2**62 + 1, 2**70])))
+    cuts = st.lists(st.integers(0, degree), min_size=dim - 1, max_size=dim - 1).map(sorted)
+    splits = draw(st.lists(cuts, min_size=1, max_size=5))
+    return [tuple(hi - lo for lo, hi in zip([0, *c], [*c, degree])) for c in splits]
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_one_degree_products_match_oracle(data):
+    dim = data.draw(st.integers(1, 5))
+    a, b = data.draw(one_degree_gens(dim)), data.draw(one_degree_gens(dim))
+    I, J = MonomialIdeal(dim, map(Monomial, a)), MonomialIdeal(dim, map(Monomial, b))
+    for path in PATHS:
+        with engine_path(path):
+            assert _exps((I * J).gens) == product_gens(a, b), path
+
+
+@pytest.mark.parametrize("dim, k, ell", [(2, 3000, 10), (3, 70, 5), (4, 20, 3), (5, 12, 4)])
+def test_large_one_degree_products_are_powers_of_m(dim, k, ell):
+    # thousands of distinct sums per product, so each column is long on both paths
+    want = maximal_power(dim, k + ell)
+    assert want.num_gens() > 2000
+    for path in PATHS:
+        with engine_path(path):
+            assert maximal_power(dim, k) * maximal_power(dim, ell) == want, path
+
+
+@pytest.mark.parametrize(
+    "I, J, antichains",
+    [
+        (maximal_power(2, 16), maximal_power(2, 15), 0),
+        (maximal_power(2, 1), ideal(2, (0, 15)), 0),
+        (maximal_power(3, 4), maximal_power(3, 0), 0),
+        (maximal_power(5, 2), ideal(5, (0, 0, 1, 0, 1), (2, 0, 0, 0, 0)), 0),
+        # mixed degrees: a distinct sum can be divided by another, so the antichain runs
+        (ideal(2, (2, 0), (1, 1), (0, 3)), maximal_power(2, 2), 1),
+        (ideal(3, (1, 0, 0), (0, 2, 0)), maximal_power(3, 3), 1),
+    ],
+    ids=["dim2-m16-m15", "dim2-principal", "dim3-unit", "dim5", "mixed-dim2", "mixed-dim3"],
+)
+def test_one_degree_product_skips_the_antichain(monkeypatch, I, J, antichains):
+    # distinct monomials of one degree never divide each other, so a product of
+    # one-degree ideals keeps every distinct sum and never calls _antichain
+    a, b = _exps(I.gens), _exps(J.gens)
+    antichain = monomials._antichain
+    for path in PATHS:
+        calls = []
+        with engine_path(path), monkeypatch.context() as patch:
+            patch.setattr(monomials, "_antichain", lambda exps: calls.append(1) or antichain(exps))
+            product = I * J
+        assert len(calls) == antichains, path
+        assert _exps(product.gens) == product_gens(a, b), path
 
 
 # -- colength over d-1 axes against the cell-by-cell oracle --------------------
