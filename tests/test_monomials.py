@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    colength_by_membership, colon_by, count_below_degree, lcm, lcm_gens, member, minimal_gens,
+    colength_by_membership, colon_by, colon_gens, count_below_degree, lcm, lcm_gens, member, minimal_gens,
     multiplicity_late_window, product_gens,
 )
 from reesag import Monomial, MonomialIdeal, _newton, maximal_power, monomials
@@ -507,6 +507,37 @@ def test_both_construction_paths_agree(case):
     assert MonomialIdeal._of(dim, a) + MonomialIdeal._of(dim, b) == MonomialIdeal(dim, map(Monomial, a + b)) == I + J
 
 
+@st.composite
+def antichain_candidates(draw):
+    """Candidate exponent tuples in dims 1-5: random ones, a one-degree set,
+    duplicates, the unit and chains up through several degrees."""
+    dim = draw(st.integers(1, 5))
+    exps = st.tuples(*[st.integers(0, 3)] * dim)
+    gens = draw(st.lists(exps, max_size=10))
+    if draw(st.booleans()):
+        gens += draw(st.lists(st.sampled_from(monomials._of_degree(dim, draw(st.integers(0, 4)))), max_size=10))
+    if gens and draw(st.booleans()):
+        gens += draw(st.lists(st.sampled_from(gens), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        gens.append((0,) * dim)
+    for _ in range(draw(st.integers(0, 2))):
+        link = draw(exps)
+        for _ in range(draw(st.integers(1, 4))):
+            gens.append(link)
+            link = tuple(e + draw(st.integers(0, 2)) for e in link)
+    return gens
+
+
+@settings(max_examples=300)
+@given(gens=antichain_candidates())
+def test_antichain_matches_oracle_in_canonical_order(gens):
+    # the scan depends on the order it meets the candidates in; its result must not
+    want = minimal_gens(gens)
+    assert _antichain(gens) == want
+    assert _antichain(reversed(gens)) == want
+    assert _antichain(set(gens)) == want
+
+
 # -- Monomial objects are built on the first .gens read, one per generator ----
 
 
@@ -578,25 +609,83 @@ def test_colon_builds_one_monomial_per_distinct_result(monkeypatch):
     assert _gens_built_on_first_read(monkeypatch, lambda: Q.colon(m6)) == brute_colon(Q, m6, sufficient_colon_bound(Q))
 
 
+# -- the pairwise colon on exponent tuples -------------------------------------
+
+
+def _counted(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_pairwise_colon_builds_one_ideal(monkeypatch, k):
+    # k single colons and k - 1 intersections of them, all on exponent tuples:
+    # 2k - 1 antichains, no MonomialIdeal.intersection and one ideal at the end
+    I = ideal(3, (2, 1, 0), (2, 0, 1), (0, 2, 2), (3, 3, 0))
+    J = ideal(3, *[(3, 1, 1), (0, 2, 2), (1, 0, 2), (0, 3, 0)][:k])
+    assert J.num_gens() == k and I.num_gens() * k < monomials._COLON_TABLE_PAIRS
+    want = brute_colon(I, J, sufficient_colon_bound(I))
+    calls = {"_of": 0, "_antichain": 0}
+    with monkeypatch.context() as patch:
+        patch.setattr(MonomialIdeal, "_of", classmethod(_counted(calls, "_of", MonomialIdeal._of.__func__)))
+        patch.setattr(monomials, "_antichain", _counted(calls, "_antichain", monomials._antichain))
+        patch.setattr(MonomialIdeal, "intersection", lambda *args: pytest.fail("called intersection"))
+        got = I.colon(J)
+    assert calls == {"_of": 1, "_antichain": 2 * k - 1}
+    assert got == want
+
+
+@st.composite
+def pairwise_colon_pairs(draw):
+    """(dim, left, right) in dims 4-5, below _COLON_TABLE_PAIRS generator pairs;
+    right may hold the unit and duplicates."""
+    dim = draw(st.integers(4, 5))
+    exps = st.tuples(*[st.integers(0, 2)] * dim)
+    left = draw(st.lists(exps, min_size=1, max_size=8))
+    right = draw(st.lists(exps, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        right.append((0,) * dim)
+    if draw(st.booleans()):
+        right.append(right[0])
+    return dim, left, right
+
+
+@settings(max_examples=60)
+@given(case=pairwise_colon_pairs())
+def test_pairwise_colon_matches_brute_force_dims_4_and_5(case):
+    dim, left, right = case
+    I, J = (MonomialIdeal(dim, map(Monomial, gens)) for gens in (left, right))
+    assert I.num_gens() * J.num_gens() < monomials._COLON_TABLE_PAIRS
+    got = I.colon(J)
+    assert got == brute_colon(I, J, sufficient_colon_bound(I))
+    assert _exps(got.gens) == colon_gens(left, right)
+
+
 # -- the numpy side of the engine's size thresholds ------------------------------
 
 
 @contextlib.contextmanager
 def engine_path(path):
-    """Products and drop tables on one side of their thresholds: "python" never
-    takes numpy, "numpy" takes it from one pair or generator on."""
-    saved = monomials._SUM_NUMPY_PAIRS, monomials._SCATTER_NUMPY_GENS
-    least = {"python": float("inf"), "numpy": 1}[path]
+    """Products and drop tables on one side of their thresholds: "tuple" sums
+    exponent tuples at any size, "python" packs from one pair on and never takes
+    numpy, "numpy" packs and takes it from one pair or generator on."""
+    saved = monomials._SUM_PACK_PAIRS, monomials._SUM_NUMPY_PAIRS, monomials._SCATTER_NUMPY_GENS
+    inf = float("inf")
+    pack, least = {"tuple": (inf, inf), "python": (0, inf), "numpy": (0, 1)}[path]
+    monomials._SUM_PACK_PAIRS = pack
     monomials._SUM_NUMPY_PAIRS = monomials._SCATTER_NUMPY_GENS = least
     try:
         yield
     finally:
-        monomials._SUM_NUMPY_PAIRS, monomials._SCATTER_NUMPY_GENS = saved
+        monomials._SUM_PACK_PAIRS, monomials._SUM_NUMPY_PAIRS, monomials._SCATTER_NUMPY_GENS = saved
 
 
-# the oracle tests below run each case on both paths in one test, so that
+# the oracle tests below run each case on every path in one test, so that
 # their ids stay those of the tests they extend
-PATHS = ("python", "numpy")
+PATHS = ("tuple", "python", "numpy")
 
 
 @pytest.mark.parametrize(
@@ -698,6 +787,44 @@ def test_one_degree_products_match_oracle(data):
     for path in PATHS:
         with engine_path(path):
             assert _exps((I * J).gens) == product_gens(a, b), path
+
+
+@st.composite
+def staircase_gens(draw, dim, size):
+    """size minimal generators in dim 2-5: exponents x and slope * (20 - x) on
+    the first two axes for distinct xs, so that none divides another, and any
+    exponents after them; slope 1 and one sum after them make one degree."""
+    xs = draw(st.lists(st.integers(0, 20), min_size=size, max_size=size, unique=True))
+    one_degree = draw(st.booleans())
+    slope = 1 if one_degree else draw(st.integers(2, 3))
+    total = draw(st.integers(0, 3))
+    gens = []
+    for x in xs:
+        if dim == 2:
+            tail = ()
+        elif one_degree:
+            cuts = sorted(draw(st.lists(st.integers(0, total), min_size=dim - 3, max_size=dim - 3)))
+            tail = tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, total]))
+        else:
+            tail = draw(st.tuples(*[st.integers(0, 3)] * (dim - 2)))
+        gens.append((x, slope * (20 - x), *tail))
+    return gens
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_products_straddling_the_packing_crossover_match_oracle(data):
+    # the engine's own thresholds: about _SUM_PACK_PAIRS pairs, on either side
+    dim = data.draw(st.integers(1, 5))
+    if dim == 1:
+        a, b = [(data.draw(st.integers(0, 9)),)], [(data.draw(st.integers(0, 9)),)]
+    else:
+        n = data.draw(st.integers(4, 12))
+        pairs = data.draw(st.integers(monomials._SUM_PACK_PAIRS - 12, monomials._SUM_PACK_PAIRS + 12))
+        a, b = data.draw(staircase_gens(dim, n)), data.draw(staircase_gens(dim, min(12, round(pairs / n))))
+    I, J = MonomialIdeal(dim, map(Monomial, a)), MonomialIdeal(dim, map(Monomial, b))
+    assert (I.num_gens(), J.num_gens()) == (len(a), len(b))
+    assert _exps((I * J).gens) == product_gens(a, b)
 
 
 @pytest.mark.parametrize("dim, k, ell", [(2, 3000, 10), (3, 70, 5), (4, 20, 3), (5, 12, 4)])
