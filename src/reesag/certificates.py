@@ -94,19 +94,11 @@ def verify_claim_containment(cert: Certificate2D, n_max: int) -> bool:
     maximal = maximal_power(2, 1)
     ideal = maximal_power(2, cert.ell)
     J, f, g, h = cert.J, cert.f, cert.g, cert.h
-    low_ok = True
-    lhs0 = maximal * J
-    rhs0 = _principal(f) * J + maximal * _principal(h)
-    if not rhs0.contains(lhs0):
-        low_ok = False
-    if n_max >= 1:
-        lhs1 = ideal * J
-        rhs1 = _principal(g) * J + ideal * _principal(h)
-        if not rhs1.contains(lhs1):
-            low_ok = False
-    if not low_ok:
+    if not (_principal(f) * J + maximal * _principal(h)).contains(maximal * J):
         return False
     gJ = _principal(g) * J
+    if n_max >= 1 and not (gJ + ideal * _principal(h)).contains(ideal * J):
+        return False
     ideal_power = ideal  # I^n, starting at n = 1
     for n in range(2, n_max + 1):
         prev_power = ideal_power

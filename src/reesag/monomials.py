@@ -46,7 +46,8 @@ Key choices:
 * a product or an intersection refuses past 10^7 generator pairs (about
   80 MB of a product's int64 sums, up to about 1 GB of an intersection's
   tuples), colength past 10^8 box cells and m^k past 10^6 generators
-  (about 190 B each in dim 5), before anything is built
+  (about 190 B each in dim 5) or past 5 * 10^6 exponents, dim to a
+  generator, before anything is built
   (``errors.check_budget``); a pairwise colon is a chain of
   intersections on tuples, so each of its steps is bounded too;
 * the antichain tests divisibility on tuples; in two variables it is the
@@ -569,7 +570,8 @@ class MonomialIdeal:
 def maximal_power(dim: int, degree: int) -> MonomialIdeal:
     """The power m^degree of the maximal ideal: all monomials of that degree.
 
-    Refuses past _DEGREE_GEN_CAP generators, C(degree+dim-1, dim-1), before building any."""
+    Refuses past _DEGREE_GEN_CAP generators, C(degree+dim-1, dim-1), or past
+    5 * _DEGREE_GEN_CAP exponents, dim per generator, before building any."""
     return MonomialIdeal._of(dim, _of_degree(dim, degree), minimal=True)
 
 
@@ -581,7 +583,10 @@ def monomials_of_degree(dim: int, degree: int) -> list[Monomial]:
 def _of_degree(dim: int, degree: int) -> list[tuple[int, ...]]:
     check_int("dim", dim, 1)
     check_int("degree", degree, 0)
-    check_budget(f"monomials of degree {degree} in dim {dim}", math.comb(degree + dim - 1, dim - 1), _DEGREE_GEN_CAP)
+    count = math.comb(degree + dim - 1, dim - 1)
+    check_budget(f"monomials of degree {degree} in dim {dim}", count, _DEGREE_GEN_CAP)
+    # each generator holds dim exponents; the generator cap was set for dim 5
+    check_budget(f"exponents of the monomials of degree {degree} in dim {dim}", count * dim, 5 * _DEGREE_GEN_CAP)
     out = []
     for cuts in itertools.combinations(range(degree + dim - 1), dim - 1):
         bounds = (-1,) + cuts + (degree + dim - 1,)

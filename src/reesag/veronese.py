@@ -7,9 +7,9 @@ module K is spanned by the interior degree-r monomials s^(r-1)t .. st^(r-1).
 Modules here are finitely generated by exponent pairs, with the exact
 membership rule: p lies in the module iff p - q is componentwise
 non-negative with total degree divisible by r for some generator q.  So a
-module is one two-variable monomial ideal per residue class of a + b mod r,
-and membership and equality are answered by those MonomialIdeals, class by
-class.
+module is stored as one two-variable MonomialIdeal per residue class of
+a + b mod r, and membership, equality, products, shifts and unions are all
+engine operations on those ideals, class by class.
 
 The checks in this module replay, degree by degree, the finite identities
 that make the Rees algebra of m an almost Gorenstein graded ring:
@@ -26,11 +26,11 @@ separately instead of assuming one.
 
 from __future__ import annotations
 
-import functools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import check_budget, check_equal, check_int
-from .monomials import _DEGREE_GEN_CAP, _PRODUCT_PAIR_CAP, MonomialIdeal, _distinct_sums
+from .monomials import _DEGREE_GEN_CAP, _PRODUCT_PAIR_CAP, MonomialIdeal, maximal_power
 
 __all__ = [
     "Pair",
@@ -51,68 +51,72 @@ def _check_pair(p: Pair) -> Pair:
     return (a, b)
 
 
-def _add(p: Pair, q: Pair) -> Pair:
-    return (p[0] + q[0], p[1] + q[1])
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SemigroupModule:
-    """Module over the degree-r Veronese semigroup, given by its generators.
+    """Module over the degree-r Veronese semigroup, held as its class ideals.
 
-    The constructor checks r and every pair; a module computed from checked
-    ones (times, shift, union) is built by _of without checking again.
+    _classes pairs each residue class c of a + b mod r that has a generator,
+    in increasing c, with the MonomialIdeal of that class's minimal
+    generators.  The constructor checks r and every pair; a module computed
+    from checked ones (times, shift, union) is built by _of without checking.
     """
 
     r: int
-    gens: frozenset[Pair]
+    _classes: tuple[tuple[int, MonomialIdeal], ...]
 
-    def __post_init__(self) -> None:
-        check_int("r", self.r, 1)
-        object.__setattr__(self, "gens", frozenset(_check_pair(p) for p in self.gens))
+    def __init__(self, r: int, gens: Iterable[Pair]) -> None:
+        check_int("r", r, 1)
+        classes: dict[int, list[Pair]] = {}
+        for p in map(_check_pair, gens):
+            classes.setdefault(sum(p) % r, []).append(p)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "_classes", tuple((c, MonomialIdeal._of(2, classes[c])) for c in sorted(classes)))
 
     @classmethod
-    def _of(cls, r: int, gens: frozenset[Pair]) -> "SemigroupModule":
+    def _of(cls, r: int, parts: Iterable[tuple[int, MonomialIdeal]]) -> "SemigroupModule":
+        """The module whose class-c ideal is the sum of the ideals parts gives for c."""
+        classes: dict[int, MonomialIdeal] = {}
+        for c, ideal in parts:
+            classes[c] = classes[c] + ideal if c in classes else ideal
         module = object.__new__(cls)
         object.__setattr__(module, "r", r)
-        object.__setattr__(module, "gens", gens)
+        object.__setattr__(module, "_classes", tuple(sorted(classes.items())))
         return module
 
-    @functools.cached_property
-    def _ideals(self) -> dict[int, MonomialIdeal]:
-        """Residue class of a + b mod r -> the ideal its generators span."""
-        classes: dict[int, list[Pair]] = {}
-        for p in self.gens:
-            classes.setdefault(sum(p) % self.r, []).append(p)
-        return {c: MonomialIdeal._of(2, pairs) for c, pairs in classes.items()}
+    @property
+    def gens(self) -> frozenset[Pair]:
+        """The minimal generators."""
+        return frozenset(p for _, ideal in self._classes for p in ideal._exps)
 
     def member(self, p: Pair) -> bool:
         p = _check_pair(p)
-        ideal = self._ideals.get(sum(p) % self.r)
+        ideal = dict(self._classes).get(sum(p) % self.r)
         return ideal is not None and ideal._has(p)
 
     def equals(self, other: "SemigroupModule") -> bool:
         """Module equality: the same ideal in every residue class."""
         check_equal("Veronese degree", self.r, other.r)
-        return self._ideals == other._ideals
+        return self._classes == other._classes
 
     def shift(self, p: Pair) -> "SemigroupModule":
-        """Multiply by the single monomial p."""
-        p = _check_pair(p)
-        return SemigroupModule._of(self.r, frozenset(_add(p, q) for q in self.gens))
+        """Multiply by the single monomial p: translate every class ideal's generators by p."""
+        a, b = _check_pair(p)
+        return SemigroupModule._of(self.r, (
+            ((c + a + b) % self.r, MonomialIdeal._of(2, [(x + a, y + b) for x, y in I._exps], minimal=True))
+            for c, I in self._classes))
 
     def times(self, other: "SemigroupModule") -> "SemigroupModule":
         """The product module; refuses before forming any pair past the engine's product budget."""
         check_equal("Veronese degree", self.r, other.r)
-        check_budget("product generator pairs", len(self.gens) * len(other.gens), _PRODUCT_PAIR_CAP)
-        if not self.gens or not other.gens:
-            return SemigroupModule._of(self.r, frozenset())
-        base = 1 + max(map(sum, self.gens)) + max(map(sum, other.gens))
-        return SemigroupModule._of(self.r, frozenset(_distinct_sums(list(self.gens), list(other.gens), base)))
+        count = [sum(I.num_gens() for _, I in M._classes) for M in (self, other)]
+        check_budget("product generator pairs", count[0] * count[1], _PRODUCT_PAIR_CAP)
+        return SemigroupModule._of(self.r, (
+            ((c + d) % self.r, I * J) for c, I in self._classes for d, J in other._classes))
 
     def union(self, other: "SemigroupModule") -> "SemigroupModule":
-        """Module sum."""
+        """Module sum: the ideal sum in every residue class."""
         check_equal("Veronese degree", self.r, other.r)
-        return SemigroupModule._of(self.r, self.gens | other.gens)
+        return SemigroupModule._of(self.r, self._classes + other._classes)
 
     def sorted_gens(self) -> list[Pair]:
         return sorted(self.gens)
@@ -147,18 +151,14 @@ class VeroneseInstance:
         return self.maximal_power(1)
 
     def maximal_power(self, k: int) -> SemigroupModule:
-        """m^k, generated by every monomial of total degree k*r; refuses past the engine's m^k budget."""
+        """m^k, the engine's m^(k*r) in residue class 0; refuses past the engine's m^k budget."""
         check_int("k", k, 0)
-        deg = k * self.r
-        check_budget(f"monomials of degree {deg} in dim 2", deg + 1, _DEGREE_GEN_CAP)
-        return SemigroupModule(self.r, frozenset((deg - j, j) for j in range(deg + 1)))
+        return SemigroupModule._of(self.r, [(0, maximal_power(2, k * self.r))])
 
     def canonical(self) -> SemigroupModule:
         """K, generated by the interior monomials of degree r; refuses past the engine's m^k budget."""
         check_budget(f"interior monomials of degree {self.r}", self.r - 1, _DEGREE_GEN_CAP)
-        return SemigroupModule(
-            self.r, frozenset((self.r - j, j) for j in range(1, self.r))
-        )
+        return SemigroupModule(self.r, ((self.r - j, j) for j in range(1, self.r)))
 
 
 def verify_minimal_multiplicity(inst: VeroneseInstance) -> bool:

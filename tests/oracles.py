@@ -8,7 +8,8 @@ exponent vectors by brute force; the membership colength walks every cell
 of the bounding box one by one; the almost Gorenstein inequality is
 restated in generator counts with its own tail exponent, and its gap as the
 telescoped sum with every term an independent math.comb; Veronese module
-membership is the pairwise scan over the generators; the engine's minimal
+membership is the pairwise scan over the generators, and its minimal
+generators are those no other generator spans; the engine's minimal
 generators, products, intersections and membership are pairwise scans over
 exponent tuples; a colon searches every cell of the box below the
 componentwise max, and the goodness report of a pair (I, Q) is built from
@@ -136,6 +137,12 @@ def semigroup_equal(r: int, a, b) -> bool:
     return all(semigroup_member(r, a, q) for q in b) and all(
         semigroup_member(r, b, q) for q in a
     )
+
+
+def semigroup_minimal(r: int, gens) -> list[tuple[int, int]]:
+    """The distinct generators that no other distinct generator spans under the pairwise rule."""
+    distinct = set(gens)
+    return [q for q in distinct if not any(p != q and semigroup_member(r, [p], q) for p in distinct)]
 
 
 def divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:

@@ -1,10 +1,13 @@
 """Dimension-two certificates: explicit elements, identities, containment."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from reesag import Monomial, maximal_power
+from reesag import Monomial, MonomialIdeal, maximal_power
 from reesag.certificates import build_certificate_2dim, verify_claim_containment
+from reesag.errors import InvariantBreach
 
 
 @pytest.mark.parametrize("ell", range(2, 21))
@@ -32,6 +35,21 @@ def test_claim_containment_degree_zero_only():
     assert verify_claim_containment(cert, 0)
     with pytest.raises(ValueError):
         verify_claim_containment(cert, -1)
+
+
+def test_claim_containment_fails_in_low_degrees_and_raises_past_them(monkeypatch):
+    cert = build_certificate_2dim(3)  # J = m^2, h = y^2
+    # f = x^2 breaks degree 0: x^2 y lies in m J = m^3 but not in x^2 J + m h
+    assert verify_claim_containment(dataclasses.replace(cert, f=Monomial((2, 0))), 1) is False
+    # g = x^4 breaks degree 1 only: x^5 lies in I J = m^5 but not in x^4 J + I h
+    wrong_g = dataclasses.replace(cert, g=Monomial((4, 0)))
+    assert verify_claim_containment(wrong_g, 1) is False
+    assert verify_claim_containment(wrong_g, 0) is True
+    # past degree 1, with degrees 0 and 1 holding, a failure is an engine bug
+    answers = iter([True, True, False])
+    monkeypatch.setattr(MonomialIdeal, "contains", lambda self, other: next(answers))
+    with pytest.raises(InvariantBreach, match="^degree-2 containment failed although degrees 0 and 1 hold \\(ell=3\\)$"):
+        verify_claim_containment(cert, 2)
 
 
 def test_certificate_rejections():

@@ -1,6 +1,5 @@
 """Monomial engine: arithmetic, colon vs brute force, colength, multiplicity."""
 
-import contextlib
 import operator
 import random
 import tracemalloc
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from engine_paths import PATHS, engine_path
 from oracles import (
     colength_by_membership, colon_by, colon_gens, count_below_degree, lcm, lcm_gens, member, minimal_gens,
     multiplicity_late_window, product_gens,
@@ -666,26 +666,8 @@ def test_pairwise_colon_matches_brute_force_dims_4_and_5(case):
 
 # -- the numpy side of the engine's size thresholds ------------------------------
 
-
-@contextlib.contextmanager
-def engine_path(path):
-    """Products and drop tables on one side of their thresholds: "tuple" sums
-    exponent tuples at any size, "python" packs from one pair on and never takes
-    numpy, "numpy" packs and takes it from one pair or generator on."""
-    saved = monomials._SUM_PACK_PAIRS, monomials._SUM_NUMPY_PAIRS, monomials._SCATTER_NUMPY_GENS
-    inf = float("inf")
-    pack, least = {"tuple": (inf, inf), "python": (0, inf), "numpy": (0, 1)}[path]
-    monomials._SUM_PACK_PAIRS = pack
-    monomials._SUM_NUMPY_PAIRS = monomials._SCATTER_NUMPY_GENS = least
-    try:
-        yield
-    finally:
-        monomials._SUM_PACK_PAIRS, monomials._SUM_NUMPY_PAIRS, monomials._SCATTER_NUMPY_GENS = saved
-
-
-# the oracle tests below run each case on every path in one test, so that
-# their ids stay those of the tests they extend
-PATHS = ("tuple", "python", "numpy")
+# the oracle tests below run each case on every path of engine_paths in one
+# test, so that their ids stay those of the tests they extend
 
 
 @pytest.mark.parametrize(
@@ -978,6 +960,21 @@ def test_colon_generator_path_refuses_before_intersecting():
         tracemalloc.stop()
     # the two single colons, about 1.5 MB, and not one pair
     assert peak < 3_000_000
+
+
+@pytest.mark.parametrize("dim", [2237, 10**6])
+def test_maximal_power_exponent_budget_refuses_before_allocating(dim):
+    # m in dim 2 237 has 2 237 generators, within the generator budget, but
+    # 5 004 169 exponents, about 40 MB; in dim 10^6 it would be about 8 TB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=(f"^exponents of the monomials of degree 1 in dim {dim}: {dim * dim} "
+                                              "over the budget of 5000000$")):
+            maximal_power(dim, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_maximal_power_budget_refuses_before_allocating():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import semigroup_equal, semigroup_member
+from engine_paths import PATHS, engine_path
+from oracles import semigroup_equal, semigroup_member, semigroup_minimal
 from reesag import monomials, veronese
 from reesag.monomials import Monomial
 from reesag.veronese import (
@@ -87,7 +88,7 @@ def test_member_builds_no_monomial_once_the_class_ideals_exist(monkeypatch):
     built = []
     post_init = Monomial.__post_init__
     monkeypatch.setattr(Monomial, "__post_init__", lambda self: built.append(self) or post_init(self))
-    assert not m.member((0, 0))  # builds the class ideals
+    assert not m.member((0, 0))
     assert [m.member(p) for p in [(4, 2), (2, 1), (1, 5), (0, 3), (7, 5)]] == [True, False, True, False, True]
     assert built == []
 
@@ -105,15 +106,30 @@ def test_computed_modules_skip_the_pair_check(monkeypatch):
     assert checked == [(1, 3)]
 
 
-@pytest.mark.parametrize("least", [float("inf"), 1], ids=["python", "numpy"])
-def test_times_matches_pairwise_sums_on_both_sides_of_the_numpy_threshold(monkeypatch, least):
-    monkeypatch.setattr(monomials, "_SUM_NUMPY_PAIRS", least)
-    for r in (2, 3, 5):
-        inst = VeroneseInstance(r)
-        for A, B in [(inst.maximal_power(2), inst.canonical()),
-                     (module(r, (0, 7), (2**40, 1), (3, 3)), module(r, inst.z))]:
-            assert A.times(B).gens == frozenset((p[0] + q[0], p[1] + q[1]) for p in A.gens for q in B.gens)
-        assert veronese_report(r, 2)["claim"]
+@pytest.mark.parametrize("path", PATHS)
+def test_times_matches_pairwise_sums_on_both_sides_of_the_numpy_threshold(path):
+    with engine_path(path):
+        for r in (2, 3, 5):
+            inst = VeroneseInstance(r)
+            for A, B in [(inst.maximal_power(2), inst.canonical()),
+                         (module(r, (0, 7), (2**40, 1), (3, 3)), module(r, inst.z))]:
+                sums = [(p[0] + q[0], p[1] + q[1]) for p in A.gens for q in B.gens]
+                assert A.times(B).gens == frozenset(semigroup_minimal(r, sums))
+            assert veronese_report(r, 2)["claim"]
+
+
+def test_one_degree_products_and_their_comparison_run_no_antichain(monkeypatch):
+    # every generator of m, m^2 and K has one degree, so each class product
+    # takes the engine's one-degree path, and equals compares stored ideals
+    inst = VeroneseInstance(8)
+    m, K = inst.maximal_ideal(), inst.canonical()
+    calls = []
+    antichain = monomials._antichain
+    monkeypatch.setattr(monomials, "_antichain", lambda exps: calls.append(exps) or antichain(exps))
+    assert m.times(m).equals(inst.maximal_power(2))
+    assert m.times(K).equals(K.times(m))
+    assert not m.times(K).equals(inst.maximal_power(2).times(K))
+    assert calls == []
 
 
 def test_times_budget_refuses_before_allocating():
@@ -122,6 +138,20 @@ def test_times_budget_refuses_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="^product generator pairs: 16008001 over the budget of 10000000$"):
+            m.times(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_times_budget_counts_the_generators_of_every_class():
+    # two classes of 2 301 generators: each of the four class products forms
+    # 5 294 601 pairs, within the budget, but the module product 21 178 404
+    m = module(2, *[(a, 4000 - a) for a in range(2301)], *[(a, 4001 - a) for a in range(2301)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^product generator pairs: 21178404 over the budget of 10000000$"):
             m.times(m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -183,9 +213,20 @@ def test_engine_matches_pairwise_oracle(case, points):
         (A.shift(s), [(s[0] + qa, s[1] + qb) for qa, qb in a]),
     ]
     for M, gens in results:
-        assert M.gens == frozenset(gens)
+        assert M.gens == frozenset(semigroup_minimal(r, gens))
         for p in points + gens:
             assert M.member(p) == semigroup_member(r, gens, p)
+
+
+@settings(max_examples=100)
+@given(case=module_pairs())
+def test_eq_and_hash_agree_with_equals(case):
+    r, a, b = case
+    A, B = module(r, *a), module(r, *b)
+    assert (A == B) == A.equals(B)
+    if A == B:
+        assert hash(A) == hash(B) and len({A, B}) == 1
+    assert module(2, (2, 0)) != module(4, (2, 0))
 
 
 def test_instance_distinguished_elements():
