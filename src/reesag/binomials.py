@@ -9,14 +9,20 @@ points here, in canonical and in classify, which check their arguments
 once.  A whole table or inequality sweep reads its counts off one row per
 d (_mu_row) and takes _cell's ints as they are.  Everything is exact
 integer arithmetic.
+
+Every public closed-form entry point, here, in canonical and in classify,
+refuses a cell through _check_cell_bits before any math.comb: C(n, k) < 2^n
+bounds every count of the cell, and ell^d < 2^(d * ell.bit_length()) its
+obstruction bound, so both sizes are known from (d, ell) alone.  binom is the
+unbudgeted primitive under them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import InvariantBreach, check_int
+from .errors import InvariantBreach, check_budget, check_int
 
 __all__ = [
     "binom",
@@ -26,6 +32,21 @@ __all__ = [
     "ineq_sides",
     "ineq_gap_telescoped",
 ]
+
+# bits of the largest integer one cell may build; classify 20001 10000 needs 280 014
+_CELL_BIT_CAP = 400_000
+
+
+def _check_cell_bits(d: int, ell: int) -> None:
+    """Refuse the cell (d, ell), valid ints, if a bound on its integers passes _CELL_BIT_CAP bits.
+
+    Its counts are C(n, d-1) or C(n, d-2) with n <= 2*ell + d - 2, each below
+    2^n, and its obstruction bound is ell^d < 2^(d * ell.bit_length()).  Both
+    bounds grow with d and ell, so a grid checks only its largest cell.
+    """
+    bits = max(2 * ell + d - 2, d * ell.bit_length())
+    if bits > _CELL_BIT_CAP:  # the message is formatted only on refusal
+        check_budget(f"integer bits of cell ({d}, {ell})", bits, _CELL_BIT_CAP)
 
 
 def binom(n: int, m: int) -> int:
@@ -41,6 +62,7 @@ def mu_power(d: int, k: int) -> int:
     """Minimal number of generators of m^k in d variables: C(k+d-1, d-1)."""
     check_int("d", d, 1)
     check_int("k", k, 0)
+    check_budget(f"integer bits of mu(m^{k}) in dim {d}", k + d - 1, _CELL_BIT_CAP)
     return binom(k + d - 1, d - 1)
 
 
@@ -59,8 +81,7 @@ def _b(d: int, ell: int) -> int:
     return b
 
 
-@dataclass(frozen=True)
-class IneqSides:
+class IneqSides(NamedTuple):
     """The ladder numbers of m^ell, and both sides of its generator-count inequality.
 
     Here b = floor((d-2)/ell), i = d - 2 - b*ell (so 0 <= i <= ell-1), and
@@ -69,7 +90,8 @@ class IneqSides:
     mu_tail = mu(m^e) and gap = lhs - rhs.  gap >= 0 always, with equality
     exactly when ell divides d - 1, but that is a theorem about the values,
     not a constructor invariant: callers that hunt for counterexamples must
-    be able to see a negative gap.
+    be able to see a negative gap.  A NamedTuple, so it also equals the plain
+    tuple of its fields.
     """
 
     d: int
@@ -91,6 +113,7 @@ def ineq_sides(d: int, ell: int) -> IneqSides:
     """
     check_int("d", d, 3)
     check_int("ell", ell, 2)
+    _check_cell_bits(d, ell)
     return _sides(d, ell)
 
 
@@ -153,6 +176,7 @@ def ineq_gap_telescoped(d: int, ell: int) -> int:
     """
     check_int("d", d, 3)
     check_int("ell", ell, 2)
+    _check_cell_bits(d, ell)
     b = _b(d, ell)
     i = d - 2 - b * ell
     if i == ell - 1:

@@ -7,16 +7,18 @@ Everything this package needs downstream is a function of b and the tail
 exponent e = (b+1)*ell - d + 1: the generator counts of K and MK, the
 inequality deciding almost Gorensteinness, the Ulrich numbers of the
 unit-tail case, and the multiplicity obstruction that rules out the graded
-property for proper divisors.  Each ladder holds the IneqSides of the
-binomials kernel, which derives b, e and the counts behind mu_K and mu_MK.
+property for proper divisors.  A ladder holds nothing but the IneqSides of
+the binomials kernel, which derives b, e and the counts behind mu_K and
+mu_MK, and the a-invariant; its d, ell, b and e are read off those sides.
+Its records are NamedTuples.  Each entry point refuses a cell past the
+binomials bit budget before any math.comb.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .binomials import IneqSides, _b, _sides, ineq_sides
+from .binomials import IneqSides, _b, _check_cell_bits, _sides, ineq_sides
 from .errors import InvariantBreach, check_int
 from .monomials import MonomialIdeal, maximal_power
 
@@ -33,22 +35,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CanonicalLadder:
+class CanonicalLadder(NamedTuple):
     """Closed form of the ladder: unit ideal up to b, powers of m after.
 
-    tail_exponent is the exponent e with J = m^e in degree b+1; the degree-n
-    component for n > b+1 is m^(e + (n-b-1)*ell) = m^(n*ell-d+1).  The
-    ladder is never materialized as a list; component() builds single
-    degrees on demand.  sides holds the cell's generator counts.
+    sides holds every number of the cell; d, ell, b and tail_exponent read
+    it.  tail_exponent is the exponent e with J = m^e in degree b+1; the
+    degree-n component for n > b+1 is m^(e + (n-b-1)*ell) = m^(n*ell-d+1).
+    The ladder is never materialized as a list; component() builds single
+    degrees on demand.  A NamedTuple, so it also equals the plain tuple
+    (sides, a_invariant).
     """
 
-    d: int
-    ell: int
-    b: int
-    tail_exponent: int
     sides: IneqSides
     a_invariant: int = -1
+
+    @property
+    def d(self) -> int:
+        return self.sides.d
+
+    @property
+    def ell(self) -> int:
+        return self.sides.ell
+
+    @property
+    def b(self) -> int:
+        return self.sides.b
+
+    @property
+    def tail_exponent(self) -> int:
+        return self.sides.tail_exponent
 
     @property
     def unit_tail(self) -> bool:
@@ -94,22 +109,18 @@ def ladder(d: int, ell: int) -> CanonicalLadder:
     """The canonical ladder of R(m^ell); needs d >= 2, ell >= 1."""
     check_int("d", d, 2)
     check_int("ell", ell, 1)
-    return _ladder(_sides(d, ell))
-
-
-def _ladder(s: IneqSides) -> CanonicalLadder:
-    """The ladder whose numbers are s."""
-    return CanonicalLadder(d=s.d, ell=s.ell, b=s.b, tail_exponent=s.tail_exponent, sides=s)
+    _check_cell_bits(d, ell)
+    return CanonicalLadder(_sides(d, ell))
 
 
 def mu_K(d: int, ell: int) -> int:
     """Minimal generators of the canonical module of R(m^ell); d >= 3, ell >= 2."""
-    return _ladder(ineq_sides(d, ell)).mu_K
+    return CanonicalLadder(ineq_sides(d, ell)).mu_K
 
 
 def mu_MK(d: int, ell: int) -> int:
     """Minimal generators of MK, M the graded maximal ideal; d >= 3, ell >= 2."""
-    return _ladder(ineq_sides(d, ell)).mu_MK
+    return CanonicalLadder(ineq_sides(d, ell)).mu_MK
 
 
 def ulrich_numbers(d: int, ell: int) -> UlrichNumbers:
@@ -142,6 +153,7 @@ def notgraded_obstruction(d: int, ell: int) -> Obstruction:
         raise ValueError(f"notgraded_obstruction needs ell | d-1, got d={d}, ell={ell}")
     if ell == d - 1:
         raise ValueError("ell = d-1 is the Gorenstein diagonal; no obstruction there")
+    _check_cell_bits(d, ell)
     b = (d - 1) // ell - 1
     if b != _b(d, ell):
         raise InvariantBreach("divisor-case b must match the floor form")
@@ -153,7 +165,7 @@ def notgraded_obstruction(d: int, ell: int) -> Obstruction:
 
 def ladder_report(d: int, ell: int) -> dict:
     """Serializable summary of the ladder numbers for one (d, ell); d >= 3, ell >= 2."""
-    lad = _ladder(ineq_sides(d, ell))
+    lad = CanonicalLadder(ineq_sides(d, ell))
     report = {
         "d": d,
         "ell": ell,

@@ -15,6 +15,10 @@ none of these.  The decision is a finite rule set:
 Every cell carries recomputed numeric evidence, never cached table values.
 _label holds the rule set and takes a cell's ladder numbers as plain ints:
 classify reads them off the public ladder, and table off binomials._cell.
+Each rule that rests on a fact about those numbers checks it: gap > 0 on
+gap-positive, gap = 0 on divisor-local-only and mu_K = 1 on the Gorenstein
+diagonal; a fact that fails is an InvariantBreach.  Evidence is a
+NamedTuple, the cheapest immutable record to build once per cell.
 Within one table() call each d reads its generator counts off one row,
 mu(m^k) for k < 2*ell_max, built for that call and dropped with it, and
 builds nothing per cell but its Evidence; the row's cell (d, ell_max) is
@@ -28,9 +32,9 @@ import enum
 import functools
 import io
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .binomials import _cell, _mu_row
+from .binomials import _cell, _check_cell_bits, _mu_row
 from .canonical import Obstruction, ladder, notgraded_obstruction
 from .errors import InvariantBreach, check_budget, check_int
 
@@ -89,12 +93,12 @@ RULE_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(NamedTuple):
     """Numeric support for one cell.
 
     gap is present only where the inequality is defined (d >= 3 and
-    ell >= 2); obstruction only for the divisor-local-only rule.
+    ell >= 2); obstruction only for the divisor-local-only rule.  A
+    NamedTuple, so it also equals the plain tuple of its fields.
     """
 
     d: int
@@ -121,27 +125,36 @@ def classify(d: int, ell: int) -> tuple[ClassLabel, Evidence]:
 
 
 def _label(d: int, ell: int, b: int, e: int, gap: int, mu_tail: int) -> tuple[ClassLabel, Evidence]:
-    """The rule set on one cell's ladder numbers: b, tail exponent e, gap and mu(m^e), as ints."""
+    """The rule set on one cell's ladder numbers: b, tail exponent e, gap and mu(m^e), as ints;
+    a rule that rests on a fact about them raises InvariantBreach unless it holds."""
+    # mu_K = b + mu(m^e) makes sense for d = 2 and ell = 1 as well; the gap does not
+    mu_K = b + mu_tail
     obstruction = None
     if ell == d - 1:
         rule = "gorenstein-diagonal"
+        if mu_K != 1:
+            raise InvariantBreach(f"gorenstein-diagonal needs mu_K = 1, got {mu_K} at d={d}, ell={ell}")
     elif ell == 1:
         rule = "parameter-ideal"
     elif d == 2:
         rule = "dimension-two"
     elif e == 0:
         rule = "divisor-local-only"
+        if gap != 0:
+            raise InvariantBreach(f"divisor-local-only needs gap = 0, got {gap} at d={d}, ell={ell}")
         obstruction = notgraded_obstruction(d, ell)
     else:
         rule = "gap-positive"
-    # mu_K = b + mu(m^e) makes sense for d = 2 and ell = 1 as well; the gap does not
-    evidence = Evidence(d=d, ell=ell, b=b, mu_K=b + mu_tail, rule=rule,
+        if gap <= 0:
+            raise InvariantBreach(f"gap-positive needs gap > 0, got {gap} at d={d}, ell={ell}")
+    evidence = Evidence(d=d, ell=ell, b=b, mu_K=mu_K, rule=rule,
                         gap=gap if (d >= 3 and ell >= 2) else None, obstruction=obstruction)
     return RULE_LABELS[rule], evidence
 
 
 def table(d_max: int, ell_max: int) -> dict[tuple[int, int], tuple[ClassLabel, Evidence]]:
-    """Full grid for 2 <= d <= d_max, 1 <= ell <= ell_max; refuses past _TABLE_CELL_CAP cells.
+    """Full grid for 2 <= d <= d_max, 1 <= ell <= ell_max; refuses past _TABLE_CELL_CAP cells
+    and, checked once for the largest cell (d_max, ell_max), past the bit budget.
 
     Each d reads the counts of all its cells off one _mu_row, and labels
     each cell from _cell's ints, building only its Evidence.  Its cell
@@ -150,6 +163,7 @@ def table(d_max: int, ell_max: int) -> dict[tuple[int, int], tuple[ClassLabel, E
     check_int("d_max", d_max, 2)
     check_int("ell_max", ell_max, 1)
     check_budget("table cells", (d_max - 1) * ell_max, _TABLE_CELL_CAP)
+    _check_cell_bits(d_max, ell_max)
     grid = {}
     for d in range(2, d_max + 1):
         row = _mu_row(d, 2 * ell_max - 1)

@@ -352,7 +352,9 @@ class MonomialIdeal:
     the unit ideal.  The stored form is _exps, the generators' exponent
     tuples in canonical order; .gens builds their Monomials on its first
     read and keeps them.  The constructor checks its input; every result
-    the engine computes is built by _of from exponent tuples instead.
+    the engine computes is built by _of from exponent tuples instead, or,
+    when they are already its minimal generators in canonical order, by
+    _fill alone.
     """
 
     __slots__ = ("dim", "_exps", "_gens", "_stair")
@@ -495,7 +497,8 @@ class MonomialIdeal:
         generators m of other the colons self : (m), each generated by the
         differences g - m clipped at 0 over the generators g of self.  The
         chain runs on minimal exponent tuples and builds one ideal at the
-        end; each intersection refuses past its pair budget.
+        end, from the last antichain as it is; each intersection refuses
+        past its pair budget.
         """
         check_equal("dimension", other.dim, self.dim)
         if other.is_zero:
@@ -514,7 +517,9 @@ class MonomialIdeal:
                 check_budget("intersection generator pairs", len(acc) * len(raw), _PRODUCT_PAIR_CAP)
                 raw = _antichain({tuple(map(max, g, h)) for g in acc for h in raw})
             acc = raw
-        return MonomialIdeal._of(self.dim, acc, minimal=True)
+        ideal = object.__new__(MonomialIdeal)  # _antichain's list is already canonical
+        ideal._fill(self.dim, acc)
+        return ideal
 
     # -- numerics ----------------------------------------------------------
 

@@ -47,6 +47,17 @@ def test_ladder_fields():
     lad = ladder(4, 2)
     assert (lad.b, lad.tail_exponent) == (1, 1)
     assert not lad.unit_tail
+    # the ladder keeps only its sides; every number is read off them
+    for d, ell in ((5, 2), (4, 2), (2, 3), (9, 4), (40, 7)):
+        lad = ladder(d, ell)
+        s = lad.sides
+        assert (lad.d, lad.ell, lad.b, lad.tail_exponent) == (s.d, s.ell, s.b, s.tail_exponent)
+        assert (s.d, s.ell) == (d, ell)
+        assert lad == (s, -1)
+        with pytest.raises(AttributeError):
+            lad.sides = s
+        with pytest.raises(AttributeError):
+            lad.b = 0
 
 
 def test_ladder_component_exponents():

@@ -1,9 +1,12 @@
 """Classification grid against the hand-written golden table and cross checks."""
 
 import csv
+import hashlib
 import importlib
 import json
 import pathlib
+import re
+import time
 import tracemalloc
 
 import pytest
@@ -198,6 +201,88 @@ def test_evidence_is_frozen():
     assert isinstance(ev, Evidence)
     with pytest.raises(AttributeError):
         ev.gap = 7
+
+
+def test_render_json_digest_is_pinned():
+    # the digest the dataclass records gave; the NamedTuples must print the same bytes
+    digest = hashlib.sha256(render_json(table(60, 30)).encode()).hexdigest()
+    assert digest == "507c28dc842902b55a09a7ebbeef32c21b46e7b5637c520bb9ac4fb97eed2e05"
+
+
+# a cell of each rule that rests on a fact, with one of its numbers corrupted:
+# (d, ell, index into _cell's (b, i, e, lhs, rhs, gap, mu_tail), corrupt value)
+CORRUPTED_FACTS = {
+    "gap-positive": (7, 4, 5, 0, "gap-positive needs gap > 0, got 0 at d=7, ell=4"),
+    "divisor-local-only": (7, 3, 5, 1, "divisor-local-only needs gap = 0, got 1 at d=7, ell=3"),
+    "gorenstein-diagonal": (5, 4, 6, 2, "gorenstein-diagonal needs mu_K = 1, got 2 at d=5, ell=4"),
+}
+
+
+@pytest.mark.parametrize("rule", list(CORRUPTED_FACTS))
+def test_each_rule_checks_its_fact(monkeypatch, rule):
+    d, ell, index, value, message = CORRUPTED_FACTS[rule]
+    assert classify(d, ell)[1].rule == rule
+    cell = binomials._cell
+
+    def corrupted(d_, ell_, row=None):
+        out = list(cell(d_, ell_, row))
+        if (d_, ell_) == (d, ell):
+            out[index] = value
+        return tuple(out)
+
+    # classify reads _cell through binomials._sides, table through its own import
+    monkeypatch.setattr(binomials, "_cell", corrupted)
+    monkeypatch.setattr(classify_module, "_cell", corrupted)
+    with pytest.raises(InvariantBreach, match=f"^{message}$"):
+        classify(d, ell)
+    with pytest.raises(InvariantBreach, match=f"^{message}$"):
+        table(d, ell)
+
+
+def test_bit_budget_admits_the_largest_printed_bound():
+    # classify 20001 10000 prints 10000^20001, 80 005 digits, below 2^280014
+    binomials._check_cell_bits(20001, 10000)
+    assert 20001 * (10000).bit_length() == 280_014 < binomials._CELL_BIT_CAP
+    label, ev = classify(20001, 10000)
+    assert (label, ev.gap, ev.obstruction.e_bound) == (ClassLabel.ALMOST_GORENSTEIN_LOCAL_ONLY, 0, 10000**20001)
+
+
+BIG_CELL = "integer bits of cell (1000000, 500000): 19000000 over the budget of 400000"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: classify(10**6, 500_000), BIG_CELL),
+        (lambda: canonical.ladder(10**6, 500_000), BIG_CELL),
+        (lambda: canonical.ladder_report(10**6, 500_000), BIG_CELL),
+        (lambda: canonical.mu_K(10**6, 500_000), BIG_CELL),
+        (lambda: canonical.mu_MK(10**6, 500_000), BIG_CELL),
+        (lambda: ineq_sides(10**6, 500_000), BIG_CELL),
+        (lambda: binomials.ineq_gap_telescoped(10**6, 500_000), BIG_CELL),
+        # ell | d-1, so the obstruction bound 2^400001 would be its largest integer
+        (lambda: notgraded_obstruction(400_001, 2), "integer bits of cell (400001, 2): 800002 over the budget of 400000"),
+        # 10^6 cells, within the cell budget; the largest cell is checked once
+        (lambda: table(100_001, 10), "integer bits of cell (100001, 10): 400004 over the budget of 400000"),
+        (lambda: binomials.mu_power(10**6, 10**6), "integer bits of mu(m^1000000) in dim 1000000: 1999999 over the budget of 400000"),
+    ],
+    ids=["classify", "ladder", "ladder_report", "mu_K", "mu_MK", "ineq_sides", "ineq_gap_telescoped",
+         "notgraded_obstruction", "table", "mu_power"],
+)
+def test_closed_form_bit_budget_refuses_before_any_comb(monkeypatch, call, message):
+    monkeypatch.setattr(binomials.math, "comb", lambda n, k: pytest.fail("called math.comb"))
+    monkeypatch.setattr(classify_module, "_mu_row", lambda d, k: pytest.fail("built a row"))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 100_000
 
 
 @pytest.mark.parametrize("d_max, ell_max", [(2, 1), (3, 2), (30, 17), (120, 60)])

@@ -4,6 +4,7 @@ import contextlib
 import json
 import pathlib
 import sys
+import time
 
 import pytest
 
@@ -222,6 +223,23 @@ def test_classify_requires_arguments(capsys):
 def test_classify_rejects_bad_domain(capsys):
     code, _, err = run_cli(capsys, "classify", "1", "4")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("classify", "1000000", "500000"), "integer bits of cell (1000000, 500000): 19000000 over the budget of 400000"),
+        (("table", "100001", "10"), "integer bits of cell (100001, 10): 400004 over the budget of 400000"),
+        (("lemma-ineq", "--dmax", "200001", "--lmax", "2"), "integer bits of cell (200001, 2): 400002 over the budget of 400000"),
+    ],
+    ids=["classify", "table", "lemma-ineq"],
+)
+def test_closed_form_bit_budget_exits_2_at_once(capsys, argv, message):
+    # without the budget, classify 1000000 500000 spent over 20 s in math.comb, then failed on printing
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # -- good-check ---------------------------------------------------------------

@@ -628,14 +628,31 @@ def test_pairwise_colon_builds_one_ideal(monkeypatch, k):
     J = ideal(3, *[(3, 1, 1), (0, 2, 2), (1, 0, 2), (0, 3, 0)][:k])
     assert J.num_gens() == k and I.num_gens() * k < monomials._COLON_TABLE_PAIRS
     want = brute_colon(I, J, sufficient_colon_bound(I))
-    calls = {"_of": 0, "_antichain": 0}
+    calls = {"_fill": 0, "_antichain": 0}
     with monkeypatch.context() as patch:
-        patch.setattr(MonomialIdeal, "_of", classmethod(_counted(calls, "_of", MonomialIdeal._of.__func__)))
+        patch.setattr(MonomialIdeal, "_fill", _counted(calls, "_fill", MonomialIdeal._fill))
         patch.setattr(monomials, "_antichain", _counted(calls, "_antichain", monomials._antichain))
         patch.setattr(MonomialIdeal, "intersection", lambda *args: pytest.fail("called intersection"))
         got = I.colon(J)
-    assert calls == {"_of": 1, "_antichain": 2 * k - 1}
+    assert calls == {"_fill": 1, "_antichain": 2 * k - 1}
     assert got == want
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_pairwise_colon_sorts_once_per_antichain(monkeypatch, k):
+    # the last antichain is already in canonical order, so the ideal is filled
+    # from it without a second sort
+    I = ideal(3, (2, 1, 0), (2, 0, 1), (0, 2, 2), (3, 3, 0), (1, 1, 3))
+    J = ideal(3, *[(1, 0, 0), (0, 2, 2), (0, 1, 3)][:k])
+    assert J.num_gens() == k
+    calls = {"_canonical": 0}
+    with monkeypatch.context() as patch:
+        patch.setattr(monomials, "_canonical", _counted(calls, "_canonical", monomials._canonical))
+        got = I.colon(J)
+    assert calls == {"_canonical": 2 * k - 1}
+    assert got.num_gens() > 1
+    assert list(got._exps) == sorted(sorted(got._exps, reverse=True), key=sum)
+    assert got == brute_colon(I, J, sufficient_colon_bound(I))
 
 
 @st.composite

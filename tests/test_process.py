@@ -172,3 +172,39 @@ def test_multiplicity_kernel_loads_on_first_call_and_checks_under_optimize():
         "degenerate simplex",
         "multiplicity 9 outside [1, 8] for pure powers [2, 2, 2]",
     ]
+
+
+def test_rule_fact_breaches_exit_3_under_optimize():
+    # each rule's fact, corrupted in one cell, must be caught by classify and
+    # by table even though -O strips asserts
+    proc = run_python(
+        """
+        import contextlib, importlib, io, sys
+        import reesag.cli as cli
+        from reesag import binomials
+        if not sys.flags.optimize:
+            sys.exit("this check needs python -O")
+        cell = binomials._cell
+        for d, ell, index, value in ((7, 4, 5, 0), (7, 3, 5, 1), (5, 4, 6, 2)):
+            def corrupted(d_, ell_, row=None, d=d, ell=ell, index=index, value=value):
+                out = list(cell(d_, ell_, row))
+                if (d_, ell_) == (d, ell):
+                    out[index] = value
+                return tuple(out)
+            binomials._cell = importlib.import_module("reesag.classify")._cell = corrupted
+            for argv in (["classify", str(d), str(ell)], ["table", str(d), str(ell)]):
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    code = cli.main(argv)
+                print(argv[0], code, repr(out.getvalue()))
+        """,
+        "-O",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{verb} 3 ''" for _ in range(3) for verb in ("classify", "table")]
+    assert proc.stderr.splitlines() == [
+        f"internal invariant breach: {message}"
+        for message in ("gap-positive needs gap > 0, got 0 at d=7, ell=4",
+                        "divisor-local-only needs gap = 0, got 1 at d=7, ell=3",
+                        "gorenstein-diagonal needs mu_K = 1, got 2 at d=5, ell=4")
+        for _ in range(2)
+    ]
