@@ -11,10 +11,11 @@ d (_mu_row) and takes _cell's ints as they are.  Everything is exact
 integer arithmetic.
 
 Every public closed-form entry point, here, in canonical and in classify,
-refuses a cell through _check_cell_bits before any math.comb: C(n, k) < 2^n
-bounds every count of the cell, and ell^d < 2^(d * ell.bit_length()) its
-obstruction bound, so both sizes are known from (d, ell) alone.  binom is the
-unbudgeted primitive under them.
+refuses a cell through _check_cell_bits before any math.comb, and a table or
+an inequality sweep its whole grid through _check_grid_bits: every count of
+a cell is some C(n, k) with n <= 2*ell + d - 2 and n - k <= 2*ell, and its
+obstruction bound is ell^d, so the sizes of its integers are known from
+(d, ell) alone.  binom is the unbudgeted primitive under them.
 """
 
 from __future__ import annotations
@@ -40,11 +41,30 @@ _CELL_BIT_CAP = 400_000
 def _check_cell_bits(d: int, ell: int) -> None:
     """Refuse the cell (d, ell), valid ints, if a bound on its integers passes _CELL_BIT_CAP bits.
 
-    Its counts are C(n, d-1) or C(n, d-2) with n <= 2*ell + d - 2, each below
-    2^n, and its obstruction bound is ell^d < 2^(d * ell.bit_length()).  Both
-    bounds grow with d and ell, so a grid checks only its largest cell.
+    Its counts are C(n, k) with n <= N = 2*ell + d - 2 and n - k <= 2*ell, so
+    each is below 2^N and at most N^(2*ell) < 2^(2*ell * N.bit_length()).  Only
+    a divisor cell (ell | d-1) builds its obstruction bound ell^d, which is
+    below 2^(d * ell.bit_length()).
     """
-    bits = max(2 * ell + d - 2, d * ell.bit_length())
+    n = 2 * ell + d - 2
+    bits = min(n, 2 * ell * n.bit_length())
+    if (d - 1) % ell == 0:
+        bits = max(bits, d * ell.bit_length())
+    _refuse_bits(d, ell, bits)
+
+
+def _check_grid_bits(d_max: int, ell_max: int) -> None:
+    """Refuse the grid of cells d <= d_max, ell <= ell_max, valid ints, through its largest cell.
+
+    2^N, N = 2*ell + d - 2, bounds every count of a cell and ell^d its
+    obstruction bound.  Unlike _check_cell_bits's bound, max(N, d *
+    ell.bit_length()) bits grows with d and ell, so the largest cell
+    bounds every cell of the grid.
+    """
+    _refuse_bits(d_max, ell_max, max(2 * ell_max + d_max - 2, d_max * ell_max.bit_length()))
+
+
+def _refuse_bits(d: int, ell: int, bits: int) -> None:
     if bits > _CELL_BIT_CAP:  # the message is formatted only on refusal
         check_budget(f"integer bits of cell ({d}, {ell})", bits, _CELL_BIT_CAP)
 

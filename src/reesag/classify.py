@@ -34,7 +34,7 @@ import io
 import json
 from typing import NamedTuple
 
-from .binomials import _cell, _check_cell_bits, _mu_row
+from .binomials import _cell, _check_grid_bits, _mu_row
 from .canonical import Obstruction, ladder, notgraded_obstruction
 from .errors import InvariantBreach, check_budget, check_int
 
@@ -163,7 +163,7 @@ def table(d_max: int, ell_max: int) -> dict[tuple[int, int], tuple[ClassLabel, E
     check_int("d_max", d_max, 2)
     check_int("ell_max", ell_max, 1)
     check_budget("table cells", (d_max - 1) * ell_max, _TABLE_CELL_CAP)
-    _check_cell_bits(d_max, ell_max)
+    _check_grid_bits(d_max, ell_max)
     grid = {}
     for d in range(2, d_max + 1):
         row = _mu_row(d, 2 * ell_max - 1)

@@ -15,7 +15,7 @@ import json
 import sys
 from random import Random
 
-from .binomials import _cell, _check_cell_bits, _mu_row, ineq_gap_telescoped
+from .binomials import _cell, _check_grid_bits, _mu_row, ineq_gap_telescoped
 from .certificates import build_certificate_2dim, verify_claim_containment
 from .classify import ClassLabel, classify, render_ascii, render_csv, render_json, table
 from .errors import InvariantBreach, check_int
@@ -61,7 +61,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_lemma_ineq(args: argparse.Namespace) -> int:
     check_int("--dmax", args.dmax, 3)
     check_int("--lmax", args.lmax, 2)
-    _check_cell_bits(args.dmax, args.lmax)
+    _check_grid_bits(args.dmax, args.lmax)
     cells = 0
     gaps = []
     counterexample = None

@@ -43,6 +43,18 @@ Key choices:
   sums cost 0.05-0.17 us a pair and numpy saves at most 0.15 of them,
   against 140-150 ms to import it, so a product below 10^6 pairs never
   makes a process load it;
+* in two variables a one-degree ideal of degree D is its set of
+  x-exponents (each y is D - x), so a product of two such ideals is the
+  sumset of those sets.  From 48 pairs on it is one int per factor, with
+  a bit set at each x less the factor's least x, and the OR of the longer
+  factor's int shifted by each x of the shorter: Python ints, so
+  exponents of any size stay exact.  It runs while those ints span at
+  most as many bits as there are pairs; wider, sparser factors pack as
+  above.  m^1000 * m^1000 fell from 10.9 to 1.2 ms (2-CPU Linux VM,
+  Python 3.11), and every product of the d = 2 certificate and of the
+  Veronese checks takes it.  m^k in two variables is one comprehension,
+  and containment in a two-variable ideal one loop of bisects on its
+  staircase;
 * a product or an intersection refuses past 10^7 generator pairs (about
   80 MB of a product's int64 sums, up to about 1 GB of an intersection's
   tuples), colength past 10^8 box cells and m^k past 10^6 generators
@@ -91,9 +103,8 @@ from typing import Iterable, Iterator
 from .errors import check_budget, check_equal, check_int
 
 __all__ = [
-    "Monomial", "MonomialIdeal", "maximal_power", "monomials_of_degree", "monomials_up_to_degree",
-    "brute_colon", "sufficient_colon_bound", "random_ideal", "parse_ideal", "load_ideal", "format_ideal",
-    "IdealFileError",
+    "Monomial", "MonomialIdeal", "maximal_power", "brute_colon", "sufficient_colon_bound", "random_ideal",
+    "parse_ideal", "load_ideal", "format_ideal", "IdealFileError",
 ]
 
 _COLENGTH_CELL_CAP = 100_000_000
@@ -104,6 +115,7 @@ _SUM_PACK_PAIRS = 48
 _SUM_NUMPY_PAIRS = 2048
 _SUM_NUMPY_COLD_PAIRS = 1_000_000
 _SCATTER_NUMPY_GENS = 32
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -197,12 +209,17 @@ def _distinct_sums(
     loaded, or _SUM_NUMPY_COLD_PAIRS if not, and while every packed sum
     fits int64 (all are below base**(packed coordinates)), numpy forms
     them in one array, sorts it in place and keeps each first occurrence.
+    In dim 2 with degree given, _sumset is tried before any packing.
     """
     pairs = len(a) * len(b)
     if pairs < _SUM_PACK_PAIRS:
         add = operator.add
         return list({tuple(map(add, p, q)) for p in a for q in b})
     dim = len(b[0])
+    if degree is not None and dim == 2:
+        sums = _sumset(a, b, pairs)
+        if sums is not None:
+            return [(x, degree - x) for x in sums]
     packed = dim if degree is None else dim - 1
     weights = [base**k for k in range(packed - 1, -1, -1)]
     vectorized = (pairs >= _SUM_NUMPY_PAIRS and ("numpy" in sys.modules or pairs >= _SUM_NUMPY_COLD_PAIRS)
@@ -235,6 +252,33 @@ def _distinct_sums(
             last = map(operator.sub, last, c)
         cols.append(last)
     return list(zip(*cols))
+
+
+def _sumset(a: list[tuple[int, ...]], b: list[tuple[int, ...]], pairs: int) -> Iterator[int] | None:
+    """The distinct sums of the first coordinates of a and b, descending; None past pairs bits.
+
+    Each side's first coordinates, less their least one, are the set bits
+    of one int, and the sumset is the OR of the longer side's int shifted
+    by each first coordinate of the shorter.  The result spans
+    (max - min over a) + (max - min over b) + 1 bits; past pairs bits it
+    is refused, so that sparse sides with wide gaps still go pair by pair.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    xa, xb = [p[0] for p in a], [q[0] for q in b]
+    low_a, low_b = min(xa), min(xb)
+    span = max(xa) - low_a + max(xb) - low_b + 1
+    if span > pairs:
+        return None
+    mask = 0
+    for x in xa:
+        mask |= 1 << (x - low_a)
+    sums = 0
+    for x in xb:
+        sums |= mask << (x - low_b)
+    bits = bin(sums)[2:].encode().translate(_BIT_BYTES)  # most significant first, one byte 0 or 1 each
+    top = low_a + low_b + len(bits) - 1
+    return itertools.compress(range(top, top - len(bits), -1), bits)
 
 
 def _int64_rows(exps: list[tuple[int, ...]], dim: int):
@@ -451,7 +495,15 @@ class MonomialIdeal:
     def contains(self, other: "MonomialIdeal") -> bool:
         """Ideal containment other subset-of self."""
         check_equal("dimension", other.dim, self.dim)
-        return all(map(self._has, other._exps))
+        if self.dim != 2:
+            return all(map(self._has, other._exps))
+        xs, ys = self._staircase()  # _has's bisect, inlined: one loop, no call per generator
+        right = bisect.bisect_right
+        for x, y in other._exps:
+            i = right(xs, x)
+            if not i or ys[i - 1] > y:
+                return False
+        return True
 
     # -- arithmetic --------------------------------------------------------
 
@@ -580,11 +632,6 @@ def maximal_power(dim: int, degree: int) -> MonomialIdeal:
     return MonomialIdeal._of(dim, _of_degree(dim, degree), minimal=True)
 
 
-def monomials_of_degree(dim: int, degree: int) -> list[Monomial]:
-    """All exponent vectors of the given total degree (stars and bars)."""
-    return list(map(Monomial, _of_degree(dim, degree)))
-
-
 def _of_degree(dim: int, degree: int) -> list[tuple[int, ...]]:
     check_int("dim", dim, 1)
     check_int("degree", degree, 0)
@@ -592,17 +639,13 @@ def _of_degree(dim: int, degree: int) -> list[tuple[int, ...]]:
     check_budget(f"monomials of degree {degree} in dim {dim}", count, _DEGREE_GEN_CAP)
     # each generator holds dim exponents; the generator cap was set for dim 5
     check_budget(f"exponents of the monomials of degree {degree} in dim {dim}", count * dim, 5 * _DEGREE_GEN_CAP)
+    if dim == 2:  # stars and bars' order: x ascending
+        return [(x, degree - x) for x in range(degree + 1)]
     out = []
     for cuts in itertools.combinations(range(degree + dim - 1), dim - 1):
         bounds = (-1,) + cuts + (degree + dim - 1,)
         out.append(tuple(b - a - 1 for a, b in zip(bounds, bounds[1:])))
     return out
-
-
-def monomials_up_to_degree(dim: int, bound: int) -> Iterator[Monomial]:
-    """All exponent vectors of total degree at most bound, degree by degree."""
-    check_int("bound", bound, 0)
-    return itertools.chain.from_iterable(monomials_of_degree(dim, deg) for deg in range(bound + 1))
 
 
 def brute_colon(ideal: MonomialIdeal, other: MonomialIdeal, degree_bound: int) -> MonomialIdeal:

@@ -4,7 +4,7 @@ Nothing here imports the package under test, except that the Rees-cone
 oracle multiplies with the engine, and the late-window multiplicity takes
 powers and colengths from it.  The Pascal table rebuilds binomial
 coefficients by the additive recurrence; the enumeration oracles count
-exponent vectors by brute force; the membership colength walks every cell
+exponent vectors by brute force, or list them by stars and bars; the membership colength walks every cell
 of the bounding box one by one; the almost Gorenstein inequality is
 restated in generator counts with its own tail exponent, and its gap as the
 telescoped sum with every term an independent math.comb; Veronese module
@@ -220,6 +220,11 @@ def _positive_vectors(dim: int, total: int):
     for bars in itertools.combinations(range(1, total), dim - 1):
         cuts = (0, *bars, total)
         yield tuple(cuts[j + 1] - cuts[j] for j in range(dim))
+
+
+def exponent_vectors(dim: int, degree: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of the given total degree in stars-and-bars order, lexicographically ascending."""
+    return [tuple(e - 1 for e in v) for v in _positive_vectors(dim, degree + dim)]
 
 
 def rees_cone_component(d: int, ell: int, n: int) -> list[tuple[int, ...]]:

@@ -247,7 +247,22 @@ def test_bit_budget_admits_the_largest_printed_bound():
     assert (label, ev.gap, ev.obstruction.e_bound) == (ClassLabel.ALMOST_GORENSTEIN_LOCAL_ONLY, 0, 10000**20001)
 
 
-BIG_CELL = "integer bits of cell (1000000, 500000): 19000000 over the budget of 400000"
+def test_cell_bit_bound_covers_every_integer_of_the_cell(monkeypatch):
+    # the counts C(n, d-1) and C(n, d-2), n <= 2*ell + d - 2 and n - k <= 2*ell, that the
+    # direct and the telescoped gap read, and a divisor cell's ell^d: with the cap one below
+    # the longest of them, the cell must be refused
+    for d in range(2, 61):
+        for ell in range(1, 31):
+            ints = _mu_row(d, 2 * ell - 1) + _mu_row(d - 1, 2 * ell)
+            if (d - 1) % ell == 0:
+                ints.append(ell**d)
+            longest = max(x.bit_length() for x in ints)
+            monkeypatch.setattr(binomials, "_CELL_BIT_CAP", longest - 1)
+            with pytest.raises(ValueError, match=f"^integer bits of cell \\({d}, {ell}\\): "):
+                binomials._check_cell_bits(d, ell)
+
+
+BIG_CELL = "integer bits of cell (1000000, 500000): 1999998 over the budget of 400000"
 
 
 @pytest.mark.parametrize(

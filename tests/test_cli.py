@@ -228,7 +228,7 @@ def test_classify_rejects_bad_domain(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("classify", "1000000", "500000"), "integer bits of cell (1000000, 500000): 19000000 over the budget of 400000"),
+        (("classify", "1000000", "500000"), "integer bits of cell (1000000, 500000): 1999998 over the budget of 400000"),
         (("table", "100001", "10"), "integer bits of cell (100001, 10): 400004 over the budget of 400000"),
         (("lemma-ineq", "--dmax", "200001", "--lmax", "2"), "integer bits of cell (200001, 2): 400002 over the budget of 400000"),
     ],
@@ -240,6 +240,17 @@ def test_closed_form_bit_budget_exits_2_at_once(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 0.5
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_closed_form_bit_budget_admits_a_cheap_cell_of_large_d(capsys):
+    # n = 400 004 would pass the budget as 2^n, but every count of the cell is
+    # C(n, k) with n - k <= 4, and ell = 2 does not divide d - 1, so no 2^d is built
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "classify", "400002", "2", "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["label"], payload["evidence"]["gap"]) == ("X", 10666746666800000)
 
 
 # -- good-check ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Monomial engine: arithmetic, colon vs brute force, colength, multiplicity."""
 
+import contextlib
 import operator
 import random
 import tracemalloc
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from engine_paths import PATHS, engine_path
 from oracles import (
-    colength_by_membership, colon_by, colon_gens, count_below_degree, lcm, lcm_gens, member, minimal_gens,
-    multiplicity_late_window, product_gens,
+    colength_by_membership, colon_by, colon_gens, count_below_degree, exponent_vectors, lcm, lcm_gens, member,
+    minimal_gens, multiplicity_late_window, product_gens,
 )
 from reesag import Monomial, MonomialIdeal, _newton, maximal_power, monomials
 from reesag.binomials import mu_power
@@ -23,8 +24,6 @@ from reesag.monomials import (
     _table_colon,
     brute_colon,
     format_ideal,
-    monomials_of_degree,
-    monomials_up_to_degree,
     parse_ideal,
     random_ideal,
     sufficient_colon_bound,
@@ -67,12 +66,8 @@ def test_divides_refuses_dimension_mismatch():
         (lambda: maximal_power(2, 1) ** True, "power n"),
         (lambda: maximal_power(2, 1) ** 2.0, "power n"),
         (lambda: maximal_power(2, 1) ** np.int64(2), "power n"),
-        (lambda: monomials_of_degree(True, 2), "dim"),
-        (lambda: monomials_of_degree(2, 2.0), "degree"),
         (lambda: brute_colon(maximal_power(2, 2), maximal_power(2, 1), 2.0), "degree_bound"),
         (lambda: brute_colon(maximal_power(2, 2), maximal_power(2, 1), True), "degree_bound"),
-        (lambda: monomials_up_to_degree(2, 2.0), "bound"),
-        (lambda: monomials_up_to_degree(2, True), "bound"),
         (lambda: Monomial.variable(True, 0), "dim"),
         (lambda: Monomial.variable(2, True), "index"),
         (lambda: Monomial.variable(2, 1.0), "index"),
@@ -82,9 +77,8 @@ def test_divides_refuses_dimension_mismatch():
     ids=[
         "ideal-dim-float", "ideal-dim-integral-float", "ideal-dim-bool", "power-dim-bool",
         "power-dim-float", "power-degree-float", "power-degree-bool", "pow-bool", "pow-float",
-        "pow-numpy-int64", "enumeration-dim-bool", "enumeration-degree-float",
-        "brute-colon-bound-float", "brute-colon-bound-bool", "up-to-degree-bound-float",
-        "up-to-degree-bound-bool", "variable-dim-bool", "variable-index-bool",
+        "pow-numpy-int64", "brute-colon-bound-float", "brute-colon-bound-bool",
+        "variable-dim-bool", "variable-index-bool",
         "variable-index-float", "unit-dim-float", "unit-dim-bool",
     ],
 )
@@ -102,9 +96,6 @@ def test_engine_sizes_keep_their_range_messages():
         maximal_power(0, 2)
     with pytest.raises(ValueError, match="^need power n >= 0, got -1$"):
         maximal_power(2, 1) ** -1
-    # it used to yield nothing
-    with pytest.raises(ValueError, match="^need bound >= 0, got -1$"):
-        monomials_up_to_degree(2, -1)
     with pytest.raises(ValueError, match="^need index >= 0, got -1$"):
         Monomial.variable(2, -1)
     with pytest.raises(ValueError, match="^variable index 2 out of range for dim 2$"):
@@ -861,6 +852,105 @@ def test_one_degree_product_skips_the_antichain(monkeypatch, I, J, antichains):
             product = I * J
         assert len(calls) == antichains, path
         assert _exps(product.gens) == product_gens(a, b), path
+
+
+# -- dim-2 one-degree products as bitset sumsets ------------------------------
+
+
+@st.composite
+def dim2_one_degree_gens(draw):
+    """1 to 12 generators (x, D - x) of one degree D, their xs drawn with gaps
+    from a window of up to 4 per generator, or now and then of up to 2**70
+    cells, that starts at 0, below 2**62 or from 2**62 on; D is at or above
+    the window's last x, by a little or by 2**62 and more."""
+    size = draw(st.integers(1, 12))
+    width = draw(st.one_of(st.integers(size - 1, 4 * size), st.integers(size, 2**70)))
+    low = draw(st.sampled_from([0, 0, 0, 2**62 - 3, 2**62, 2**70]))
+    xs = draw(st.lists(st.integers(low, low + width), min_size=1, max_size=size, unique=True))
+    degree = max(xs) + draw(st.sampled_from([0, 0, 1, 5, 2**62, 2**70]))
+    return [(x, degree - x) for x in xs]
+
+
+@settings(max_examples=250)
+@given(a=dim2_one_degree_gens(), b=dim2_one_degree_gens())
+# narrow spans from 2**62 on, 7 x 8 pairs: the sumset takes them exactly
+@example(a=[(2**62 + x, 2**63 - x) for x in (0, 1, 3, 6, 7, 9, 12)],
+         b=[(2**70 + x, 2**70 + 2 - x) for x in (0, 1, 2, 4, 5, 6, 8, 11)])
+def test_dim2_one_degree_products_match_oracle(a, b):
+    # pairs on both sides of _SUM_PACK_PAIRS, and a span of the xs' sums on
+    # both sides of the pair count, so both the bitset and the packed sums run
+    want = product_gens(a, b)
+    I, J = MonomialIdeal(2, map(Monomial, a)), MonomialIdeal(2, map(Monomial, b))
+    assert _exps((I * J).gens) == want
+    for path in PATHS:
+        with engine_path(path):
+            assert _exps((I * J).gens) == want, path
+            assert _exps((J * I).gens) == product_gens(b, a), path
+
+
+@pytest.mark.parametrize(
+    "xs_a, xs_b, bitset",
+    [
+        # 8 x 8 pairs, their xs 1 000 apart: the sums span 14 001 > 64 bits
+        ([1000 * k for k in range(8)], [1000 * k for k in range(8)], False),
+        # gapped, from 2**62 on: the sums span 23 <= 56 bits
+        ([2**62 + x for x in (0, 1, 3, 6, 7, 9, 12)], [x for x in (0, 1, 2, 4, 5, 6, 8, 10)], True),
+        # 8 x 8 pairs whose sums span exactly 64 bits, and one bit more
+        (list(range(8)), [*range(7), 56], True),
+        (list(range(8)), [*range(7), 57], False),
+    ],
+    ids=["wide-sparse", "narrow-from-2^62", "span-at-the-pair-count", "span-one-past-the-pair-count"],
+)
+def test_dim2_one_degree_products_take_the_sumset_while_it_is_narrow(monkeypatch, xs_a, xs_b, bitset):
+    a = [(x, max(xs_a) + 3 - x) for x in xs_a]
+    b = [(x, max(xs_b) - x) for x in xs_b]
+    I, J = MonomialIdeal(2, map(Monomial, a)), MonomialIdeal(2, map(Monomial, b))
+    assert len(a) * len(b) >= monomials._SUM_PACK_PAIRS
+    want = product_gens(a, b)
+    rows, sumset = monomials._int64_rows, monomials._sumset
+    for path in ("default", "python", "numpy"):
+        packed, sums = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(monomials, "_sumset", lambda *args: sums.append(sumset(*args)) or sums[-1])
+            patch.setattr(monomials, "_int64_rows", lambda *args: packed.append(1) or rows(*args))
+            with contextlib.nullcontext() if path == "default" else engine_path(path):
+                assert _exps((I * J).gens) == want, path
+        # one _sumset call, which returns its sums (not None) only while the span allows
+        assert [s is not None for s in sums] == [bitset], path
+        # the wide product still packs, in numpy where every packed sum fits int64
+        assert bool(packed) == (path == "numpy" and not bitset), path
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 300])
+def test_maximal_power_lists_stars_and_bars_in_every_dim(k):
+    for dim in range(1, 6 if k < 10 else 3):
+        vectors = exponent_vectors(dim, k)
+        assert monomials._of_degree(dim, k) == vectors, dim
+        assert list(maximal_power(dim, k)._exps) == sorted(vectors, reverse=True), dim
+
+
+@st.composite
+def containment_pairs(draw):
+    """Two dim-2 generator lists: the second often multiples of the first's generators."""
+    a = draw(gen_lists(2))
+    if a and draw(st.booleans()):
+        shift = st.tuples(st.integers(0, 3), st.integers(0, 3))
+        b = [tuple(map(operator.add, g, draw(shift))) for g in draw(st.lists(st.sampled_from(a), max_size=6))]
+        if draw(st.booleans()):
+            b += draw(gen_lists(2))
+    else:
+        b = draw(gen_lists(2))
+    return a, b
+
+
+@settings(max_examples=200)
+@given(case=containment_pairs())
+def test_dim2_contains_matches_membership(case):
+    a, b = case
+    I, J = MonomialIdeal(2, map(Monomial, a)), MonomialIdeal(2, map(Monomial, b))
+    want = all(map(I._has, J._exps))
+    assert want == all(member(a, e) for e in b)
+    assert I.contains(J) == want
 
 
 # -- colength over d-1 axes against the cell-by-cell oracle --------------------

@@ -93,11 +93,11 @@ def test_numpy_stays_off_small_cli_colons(tmp_path):
     assert proc.stdout.splitlines() == ["good-check 0 False", "colon 0 False"]
 
 
-def test_numpy_stays_off_the_small_product_verbs():
+def test_numpy_stays_off_the_small_product_verbs(tmp_path):
     # before numpy is loaded, a product takes it only from 10^6 pairs on
     # (certificate --ell 21 forms 106 x 21 pairs and its colon, 2 x 22, stays
     # below the table threshold; veronese --r 60 multiplies modules of up to
-    # 62 generators); with that threshold lowered, certificate --ell 21 loads it
+    # 62 generators)
     code = """
         import contextlib, io, sys
         from reesag import monomials
@@ -111,14 +111,22 @@ def test_numpy_stays_off_the_small_product_verbs():
     small = [["certificate", "--ell", "5"], ["veronese", "--r", "3"],
              ["selfcheck", "--seed", "7", "--trials", "20", "--format", "json"], ["veronese", "--r", "60"],
              ["certificate", "--ell", "21"]]
-    runs = [(small, "monomials._SUM_NUMPY_COLD_PAIRS"), ([["certificate", "--ell", "21"]], "2048")]
+    # the control, with that threshold lowered to 2 048: a dim-2 product of
+    # one-degree ideals sums bitsets and still leaves numpy off, while the
+    # square of m^9 in dim 3, 55 x 55 pairs, packs and loads it; its colon by
+    # the principal (x^9) has 55 pairs, below the table threshold
+    (tmp_path / "I.txt").write_text("".join(f"{a} {b} {9 - a - b}\n" for a in range(10) for b in range(10 - a)))
+    (tmp_path / "Q.txt").write_text("9 0 0\n")
+    control = [["certificate", "--ell", "21"],
+               ["good-check", "--dim", "3", "--ideal", str(tmp_path / "I.txt"), "--reduction", str(tmp_path / "Q.txt")]]
+    runs = [(small, "monomials._SUM_NUMPY_COLD_PAIRS"), (control, "2048")]
     outputs = [run_python(code.replace("ARGVS", repr(argvs)).replace("CUTOFF", cutoff)) for argvs, cutoff in runs]
     for proc in outputs:
         assert proc.returncode == 0, proc.stderr
     assert [proc.stdout.splitlines() for proc in outputs] == [
         ["certificate 5 0 False", "veronese 3 0 False", "selfcheck 7 0 False", "veronese 60 0 False",
          "certificate 21 0 False"],
-        ["certificate 21 0 True"],
+        ["certificate 21 0 False", "good-check 3 0 True"],
     ]
 
 
