@@ -27,7 +27,6 @@ from .errors import InvariantBreach, check_budget, check_int
 
 __all__ = [
     "binom",
-    "mu_power",
     "b_of",
     "IneqSides",
     "ineq_sides",
@@ -76,14 +75,6 @@ def binom(n: int, m: int) -> int:
     if m < 0 or m > n:
         return 0
     return math.comb(n, m)
-
-
-def mu_power(d: int, k: int) -> int:
-    """Minimal number of generators of m^k in d variables: C(k+d-1, d-1)."""
-    check_int("d", d, 1)
-    check_int("k", k, 0)
-    check_budget(f"integer bits of mu(m^{k}) in dim {d}", k + d - 1, _CELL_BIT_CAP)
-    return binom(k + d - 1, d - 1)
 
 
 def b_of(d: int, ell: int) -> int:

@@ -27,8 +27,6 @@ __all__ = [
     "UlrichNumbers",
     "Obstruction",
     "ladder",
-    "mu_K",
-    "mu_MK",
     "ulrich_numbers",
     "notgraded_obstruction",
     "ladder_report",
@@ -111,16 +109,6 @@ def ladder(d: int, ell: int) -> CanonicalLadder:
     check_int("ell", ell, 1)
     _check_cell_bits(d, ell)
     return CanonicalLadder(_sides(d, ell))
-
-
-def mu_K(d: int, ell: int) -> int:
-    """Minimal generators of the canonical module of R(m^ell); d >= 3, ell >= 2."""
-    return CanonicalLadder(ineq_sides(d, ell)).mu_K
-
-
-def mu_MK(d: int, ell: int) -> int:
-    """Minimal generators of MK, M the graded maximal ideal; d >= 3, ell >= 2."""
-    return CanonicalLadder(ineq_sides(d, ell)).mu_MK
 
 
 def ulrich_numbers(d: int, ell: int) -> UlrichNumbers:

@@ -21,28 +21,44 @@ Key choices:
 * an ideal stores only its minimal generators' exponent tuples, in
   canonical order, and every operation reads them.  ``.gens`` builds one
   Monomial per generator on its first read and keeps them, so an ideal
-  the engine computes and nobody prints builds none;
+  the engine computes and nobody prints builds none.  ``_of(...,
+  minimal=True)`` takes tuples that are already minimal and canonical and
+  stores them as they come; each caller keeps that order instead of
+  sorting again (one-degree products, sums, m^k, colon tables);
+* distinct monomials of one degree never divide each other (Herzog-Hibi,
+  GTM 260, ch. 1).  So when two ideals are generated in one and the same
+  degree, their sum is generated by the union of their generators, and
+  one contains the other iff its generators include the other's: no
+  antichain runs and no membership is tested.  In canonical order, one
+  degree reads as the first and last generators of both having equal
+  degrees, and canonical order is lexicographically descending;
 * a product below 48 generator pairs adds the exponent tuples directly,
   where packing costs more: in dims 2-4, 4 pairs took 3-6 us so against
   8-11 us packed, the two were even from 30 to 48 pairs, and 64 pairs took
   20-50 % longer on tuples.  From 48 pairs on it packs each exponent tuple
   into one int, so each pair is one int addition, and unpacks the
   distinct sums column by column with divmod.  When both factors are
-  generated in one degree (in canonical order their first and last
-  generators have equal degrees), so is the product, and every distinct
-  sum is a minimal generator: distinct monomials of one degree never
-  divide each other (Herzog-Hibi, GTM 260, ch. 1).  Then no antichain
-  runs, and a packed product packs only the first d-1 coordinates and
-  sets the last to the degree minus the others.  The paper's checks
-  multiply such ideals: powers of m, J = m^(ell-1) and principal ideals.
+  generated in one degree, each in a degree of its own, so is the
+  product, and by the fact above every distinct sum is a minimal
+  generator.  Then no antichain runs, a packed product packs only the
+  first d-1 coordinates and sets the last to the degree minus the others,
+  and the sums come out canonical: sorted descending, as tuples or as
+  packed ints, whose order is the tuples' order.  The paper's checks
+  multiply, add and compare such ideals: powers of m, J = m^(ell-1) and
+  principal ideals.
   Intersections and colons form each pair as one ``tuple(map(...))`` (max,
   or the difference clipped at 0).  While base**(packed coordinates) <
-  2**62, numpy adds the packed int64s, sorts them and unpacks with divmod:
-  from 2 048 pairs on once it is loaded (it wins from about 64 pairs, 2-6x
-  from 144 pairs in dims 2-5), and from 10^6 pairs on before.  Python's
-  sums cost 0.05-0.17 us a pair and numpy saves at most 0.15 of them,
-  against 140-150 ms to import it, so a product below 10^6 pairs never
-  makes a process load it;
+  2**62, numpy adds the packed int64s, drops repeats and unpacks with
+  divmod: from 2 048 pairs on once it is loaded (it wins from about 64
+  pairs, 2-6x from 144 pairs in dims 2-5), and from 10^6 pairs on before.
+  Python's sums cost 0.05-0.17 us a pair and numpy saves at most 0.15 of
+  them, against 140-150 ms to import it, so a product below 10^6 pairs
+  never makes a process load it.  numpy drops repeats by marking each sum
+  in a boolean array of base**(packed coordinates) cells and reading the
+  marks back with ``np.flatnonzero``, while those cells are no more than
+  the pairs, the rule ``_sumset`` keeps below; past it, by a sort.  On
+  m^12 * m^4 in dim 5 (127 400 pairs, 83 521 cells) that step fell from
+  1.7 to 0.3 ms;
 * in two variables a one-degree ideal of degree D is its set of
   x-exponents (each y is D - x), so a product of two such ideals is the
   sumset of those sets.  From 48 pairs on it is one int per factor, with
@@ -204,34 +220,47 @@ def _distinct_sums(
     coordinate 0 most significant.  base exceeds every coordinate of every
     sum, so no field carries and the packed sum is the sum of the packed
     ints.  With degree given, every p + q has that degree (dim >= 2): only
-    the first dim-1 coordinates are packed, and each sum's last one is
-    degree minus the rest.  From _SUM_NUMPY_PAIRS pairs on if numpy is
-    loaded, or _SUM_NUMPY_COLD_PAIRS if not, and while every packed sum
-    fits int64 (all are below base**(packed coordinates)), numpy forms
-    them in one array, sorts it in place and keeps each first occurrence.
-    In dim 2 with degree given, _sumset is tried before any packing.
+    the first dim-1 coordinates are packed, each sum's last one is degree
+    minus the rest, and the sums come back in canonical order, which for
+    one degree is lexicographically descending, so packed ints descending.
+    From _SUM_NUMPY_PAIRS pairs on if numpy is loaded, or
+    _SUM_NUMPY_COLD_PAIRS if not, and while every packed sum fits int64
+    (all are below cells = base**(packed coordinates)), numpy forms them in
+    one array.  While cells <= pairs it marks each sum in a boolean array
+    of cells entries and reads the marks back ascending; past that it sorts
+    the sums in place and keeps each first occurrence.  In dim 2 with
+    degree given, _sumset is tried before any packing.
     """
     pairs = len(a) * len(b)
     if pairs < _SUM_PACK_PAIRS:
         add = operator.add
-        return list({tuple(map(add, p, q)) for p in a for q in b})
+        sums = {tuple(map(add, p, q)) for p in a for q in b}
+        return list(sums) if degree is None else sorted(sums, reverse=True)
     dim = len(b[0])
     if degree is not None and dim == 2:
-        sums = _sumset(a, b, pairs)
-        if sums is not None:
-            return [(x, degree - x) for x in sums]
+        xs = _sumset(a, b, pairs)
+        if xs is not None:
+            return [(x, degree - x) for x in xs]
     packed = dim if degree is None else dim - 1
     weights = [base**k for k in range(packed - 1, -1, -1)]
+    cells = base**packed
     vectorized = (pairs >= _SUM_NUMPY_PAIRS and ("numpy" in sys.modules or pairs >= _SUM_NUMPY_COLD_PAIRS)
-                  and base**packed < 2**62)
+                  and cells < 2**62)
     cols = []  # one column per packed coordinate, the least significant first
     if vectorized:
         import numpy as np
 
         w = np.array(weights, dtype=np.int64)
         v = np.add.outer(_int64_rows(a, dim)[:, :packed] @ w, _int64_rows(b, dim)[:, :packed] @ w).reshape(-1)
-        v.sort()
-        v = v[np.concatenate(([True], v[1:] != v[:-1]))]
+        if cells <= pairs:  # the marks take no more room than the sums
+            marks = np.zeros(cells, dtype=bool)
+            marks[v] = True
+            v = np.flatnonzero(marks)
+        else:
+            v.sort()
+            v = v[np.concatenate(([True], v[1:] != v[:-1]))]
+        if degree is not None:
+            v = v[::-1]
         for _ in range(packed - 1):
             v, low = np.divmod(v, base)
             cols.append(low.tolist())
@@ -241,6 +270,8 @@ def _distinct_sums(
         pa = [sum(map(operator.mul, e, weights)) for e in a]
         pb = [sum(map(operator.mul, e, weights)) for e in b]
         v = {x + y for x in pa for y in pb}  # unmodified, so every pass over it runs in one order
+        if degree is not None:
+            v = sorted(v, reverse=True)
         for _ in range(packed - 1):
             cols.append([x % base for x in v])
             v = [x // base for x in v]
@@ -320,6 +351,12 @@ def _antichain(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
             else:
                 kept.append(e)
     return _canonical(kept)
+
+
+def _one_degree(a: tuple[tuple[int, ...], ...], b: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether two nonempty canonical generator tuples all have one and the same degree:
+    canonical order puts each one's least degree first and its largest last."""
+    return bool(a and b) and sum(a[0]) == sum(a[-1]) == sum(b[0]) == sum(b[-1])
 
 
 def _canonical(exps: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -418,14 +455,14 @@ class MonomialIdeal:
         """The ideal generated by exponent tuples the engine computed: no check runs.
 
         Each tuple must have dim non-negative int entries.  With minimal set,
-        exps are already the minimal generators, each once, and are only
-        put in canonical order.
+        exps are already the minimal generators, each once, in canonical
+        order, and are stored as they come.
         """
         ideal = object.__new__(cls)
-        ideal._fill(dim, _canonical(list(exps)) if minimal else _antichain(exps))
+        ideal._fill(dim, exps if minimal else _antichain(exps))
         return ideal
 
-    def _fill(self, dim: int, exps: list[tuple[int, ...]]) -> None:
+    def _fill(self, dim: int, exps: Iterable[tuple[int, ...]]) -> None:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_exps", tuple(exps))
         object.__setattr__(self, "_gens", None)
@@ -493,8 +530,14 @@ class MonomialIdeal:
         return self.member(mono)
 
     def contains(self, other: "MonomialIdeal") -> bool:
-        """Ideal containment other subset-of self."""
+        """Ideal containment other subset-of self.
+
+        If both are generated in one and the same degree, a generator of
+        other lies in self iff it is a generator of self.
+        """
         check_equal("dimension", other.dim, self.dim)
+        if _one_degree(self._exps, other._exps):
+            return set(other._exps) <= set(self._exps)
         if self.dim != 2:
             return all(map(self._has, other._exps))
         xs, ys = self._staircase()  # _has's bisect, inlined: one loop, no call per generator
@@ -508,8 +551,13 @@ class MonomialIdeal:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        """The sum ideal.  If both are generated in one and the same degree,
+        every distinct generator of either is minimal, so no antichain runs."""
         check_equal("dimension", other.dim, self.dim)
-        return MonomialIdeal._of(self.dim, self._exps + other._exps)
+        a, b = self._exps, other._exps
+        if _one_degree(a, b):
+            return MonomialIdeal._of(self.dim, sorted(set(a).union(b), reverse=True), minimal=True)
+        return MonomialIdeal._of(self.dim, a + b)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """The product ideal; refuses before forming any pair past _PRODUCT_PAIR_CAP pairs.
@@ -561,7 +609,7 @@ class MonomialIdeal:
         if len(left) * len(right) >= _COLON_TABLE_PAIRS:
             table = _table_colon(left, right)
             if table is not None:
-                return MonomialIdeal._of(self.dim, table, minimal=True)
+                return MonomialIdeal._of(self.dim, _canonical(table), minimal=True)
         acc = None
         for m in right:
             raw = _antichain({tuple(a - b if a > b else 0 for a, b in zip(e, m)) for e in left})
@@ -569,9 +617,7 @@ class MonomialIdeal:
                 check_budget("intersection generator pairs", len(acc) * len(raw), _PRODUCT_PAIR_CAP)
                 raw = _antichain({tuple(map(max, g, h)) for g in acc for h in raw})
             acc = raw
-        ideal = object.__new__(MonomialIdeal)  # _antichain's list is already canonical
-        ideal._fill(self.dim, acc)
-        return ideal
+        return MonomialIdeal._of(self.dim, acc, minimal=True)  # _antichain's list is already canonical
 
     # -- numerics ----------------------------------------------------------
 
@@ -629,7 +675,8 @@ def maximal_power(dim: int, degree: int) -> MonomialIdeal:
 
     Refuses past _DEGREE_GEN_CAP generators, C(degree+dim-1, dim-1), or past
     5 * _DEGREE_GEN_CAP exponents, dim per generator, before building any."""
-    return MonomialIdeal._of(dim, _of_degree(dim, degree), minimal=True)
+    # stars and bars lists them lexicographically ascending, canonical order reversed
+    return MonomialIdeal._of(dim, _of_degree(dim, degree)[::-1], minimal=True)
 
 
 def _of_degree(dim: int, degree: int) -> list[tuple[int, ...]]:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import binom_pascal, count_exponent_vectors, pascal_table, telescoped_gap
 from reesag import ineq_sides
-from reesag.binomials import _cell, _mu_row, b_of, binom, ineq_gap_telescoped, mu_power
+from reesag.binomials import _cell, _mu_row, b_of, binom, ineq_gap_telescoped
 
 
 def test_binom_frozen_values():
@@ -45,14 +45,15 @@ def test_pascal_identity_and_symmetry():
 @pytest.mark.parametrize("d", range(1, 6))
 @pytest.mark.parametrize("k", range(0, 9))
 def test_mu_power_counts_exponent_vectors(d, k):
-    assert mu_power(d, k) == count_exponent_vectors(d, k)
+    # mu(m^k) = C(k+d-1, d-1), as binom and as the entry k of the row kernel
+    assert binom(k + d - 1, d - 1) == _mu_row(d, k)[k] == count_exponent_vectors(d, k)
 
 
 def test_mu_power_frozen():
-    assert mu_power(3, 2) == 6
-    assert mu_power(2, 3) == 4
-    assert mu_power(4, 1) == 4
-    assert mu_power(5, 0) == 1
+    assert _mu_row(3, 2)[2] == 6
+    assert _mu_row(2, 3)[3] == 4
+    assert _mu_row(4, 1)[1] == 4
+    assert _mu_row(5, 0)[0] == 1
 
 
 def test_b_of_values():

@@ -4,13 +4,11 @@ import pytest
 
 from oracles import agl_inequality, count_exponent_vectors, rees_cone_counts
 from reesag import Monomial, MonomialIdeal, ineq_sides, ladder, maximal_power
-from reesag.binomials import b_of, mu_power
+from reesag.binomials import b_of
 from reesag.canonical import (
     Obstruction,
     UlrichNumbers,
     ladder_report,
-    mu_K,
-    mu_MK,
     notgraded_obstruction,
     ulrich_numbers,
 )
@@ -103,12 +101,12 @@ def test_ladder_domain():
 
 
 def test_mu_frozen_values():
-    assert mu_K(4, 3) == 1
-    assert mu_K(5, 2) == 2
-    assert mu_K(4, 2) == 5
-    assert mu_MK(3, 2) == 9
-    assert mu_MK(4, 2) == 34
-    assert mu_MK(5, 2) == 25
+    assert ladder(4, 3).mu_K == 1
+    assert ladder(5, 2).mu_K == 2
+    assert ladder(4, 2).mu_K == 5
+    assert ladder(3, 2).mu_MK == 9
+    assert ladder(4, 2).mu_MK == 34
+    assert ladder(5, 2).mu_MK == 25
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -116,8 +114,8 @@ def test_mu_frozen_values():
 def test_mu_counts_match_ladder_generators(d, ell):
     lad = ladder(d, ell)
     e = lad.tail_exponent
-    assert mu_K(d, ell) == lad.b + maximal_power(d, e).num_gens()
-    assert mu_MK(d, ell) == (
+    assert lad.mu_K == lad.b + maximal_power(d, e).num_gens()
+    assert lad.mu_MK == (
         lad.b * maximal_power(d, 1).num_gens()
         + maximal_power(d, e + 1).num_gens()
         + maximal_power(d, e + ell).num_gens()
@@ -133,7 +131,7 @@ def test_rees_cone_oracle_matches_every_ladder_number(d, ell):
     components, cone_mu_K, cone_mu_MK = rees_cone_counts(d, ell, lad.b + 3)
     for n, component in enumerate(components, 1):
         assert component == lad.component(n), n
-    assert (cone_mu_K, cone_mu_MK) == (lad.mu_K, lad.mu_MK) == (mu_K(d, ell), mu_MK(d, ell))
+    assert (cone_mu_K, cone_mu_MK) == (lad.mu_K, lad.mu_MK)
     assert rees_cone_counts(d, ell, lad.b + 2)[1:] == (cone_mu_K, cone_mu_MK)
     gap = cone_mu_MK - d * cone_mu_K - count_exponent_vectors(d, ell)
     assert gap == lad.sides.gap == ineq_sides(d, ell).gap == ladder_report(d, ell)["gap"]
@@ -141,7 +139,7 @@ def test_rees_cone_oracle_matches_every_ladder_number(d, ell):
 
 def test_mu_K_is_one_on_diagonal():
     for d in range(3, 31):
-        assert mu_K(d, d - 1) == 1
+        assert ladder(d, d - 1).mu_K == 1
 
 
 def test_agl_inequality_iff_divisor():
@@ -157,7 +155,7 @@ def test_agl_inequality_matches_binomial_gap():
 
 
 def test_hypothesis_rejections():
-    for fn in (mu_K, mu_MK, agl_inequality, ladder_report):
+    for fn in (ineq_sides, agl_inequality, ladder_report):
         with pytest.raises(ValueError):
             fn(2, 2)
         with pytest.raises(ValueError):
@@ -182,7 +180,7 @@ def test_ulrich_c_is_mu_K_minus_one():
     for d in range(3, 31):
         for ell in range(2, d):
             if (d - 1) % ell == 0:
-                assert ulrich_numbers(d, ell).c == mu_K(d, ell) - 1
+                assert ulrich_numbers(d, ell).c == ladder(d, ell).mu_K - 1
 
 
 def test_obstruction_frozen_values():

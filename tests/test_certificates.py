@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from reesag import Monomial, MonomialIdeal, maximal_power
+from reesag import Monomial, MonomialIdeal, maximal_power, monomials
 from reesag.certificates import build_certificate_2dim, verify_claim_containment
 from reesag.errors import InvariantBreach
 
@@ -28,6 +28,27 @@ def test_certificate_frozen_elements():
 def test_claim_containment_to_degree_ten(ell):
     cert = build_certificate_2dim(ell)
     assert verify_claim_containment(cert, 10)
+
+
+def test_claim_containment_sums_run_no_antichain(monkeypatch):
+    # f J + m h, g J + I h and (g J) I^(n-1) + I^n h each add two ideals of
+    # one and the same degree, whose generators are all minimal
+    adds, inside = [], []
+    add, antichain = MonomialIdeal.__add__, monomials._antichain
+
+    def counted_add(self, other):
+        adds.append(1)
+        inside.append(True)
+        try:
+            return add(self, other)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(MonomialIdeal, "__add__", counted_add)
+    monkeypatch.setattr(monomials, "_antichain", lambda exps: pytest.fail("antichain in a sum") if inside
+                        else antichain(exps))
+    assert verify_claim_containment(build_certificate_2dim(16), 12)
+    assert len(adds) == 2 + 2 + 11
 
 
 def test_claim_containment_degree_zero_only():

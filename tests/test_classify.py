@@ -13,7 +13,7 @@ import pytest
 
 from reesag import binomials, canonical, classify, ineq_sides
 from reesag.binomials import _mu_row
-from reesag.canonical import mu_K, notgraded_obstruction
+from reesag.canonical import ladder, notgraded_obstruction
 from reesag.classify import (
     ClassLabel,
     Evidence,
@@ -52,7 +52,7 @@ def cross_check(d: int, ell: int) -> bool:
     ok = (label in (ClassLabel.GORENSTEIN_GRADED, ClassLabel.ALMOST_GORENSTEIN_LOCAL_ONLY)) == (
         gap == 0
     )
-    ok = ok and (label is ClassLabel.GORENSTEIN_GRADED) == (mu_K(d, ell) == 1)
+    ok = ok and (label is ClassLabel.GORENSTEIN_GRADED) == (ladder(d, ell).mu_K == 1)
     if label is ClassLabel.ALMOST_GORENSTEIN_LOCAL_ONLY:
         obs = notgraded_obstruction(d, ell)
         ok = ok and obs.e_bound > obs.mu_bound + 1
@@ -140,7 +140,7 @@ def test_cross_check_sweep():
 def test_cross_check_agrees_with_mu_and_gap():
     label, _ = classify(9, 4)
     assert label is ClassLabel.ALMOST_GORENSTEIN_LOCAL_ONLY
-    assert ineq_sides(9, 4).gap == 0 and mu_K(9, 4) > 1
+    assert ineq_sides(9, 4).gap == 0 and ladder(9, 4).mu_K > 1
 
 
 def test_cross_check_domain():
@@ -271,18 +271,15 @@ BIG_CELL = "integer bits of cell (1000000, 500000): 1999998 over the budget of 4
         (lambda: classify(10**6, 500_000), BIG_CELL),
         (lambda: canonical.ladder(10**6, 500_000), BIG_CELL),
         (lambda: canonical.ladder_report(10**6, 500_000), BIG_CELL),
-        (lambda: canonical.mu_K(10**6, 500_000), BIG_CELL),
-        (lambda: canonical.mu_MK(10**6, 500_000), BIG_CELL),
         (lambda: ineq_sides(10**6, 500_000), BIG_CELL),
         (lambda: binomials.ineq_gap_telescoped(10**6, 500_000), BIG_CELL),
         # ell | d-1, so the obstruction bound 2^400001 would be its largest integer
         (lambda: notgraded_obstruction(400_001, 2), "integer bits of cell (400001, 2): 800002 over the budget of 400000"),
         # 10^6 cells, within the cell budget; the largest cell is checked once
         (lambda: table(100_001, 10), "integer bits of cell (100001, 10): 400004 over the budget of 400000"),
-        (lambda: binomials.mu_power(10**6, 10**6), "integer bits of mu(m^1000000) in dim 1000000: 1999999 over the budget of 400000"),
     ],
-    ids=["classify", "ladder", "ladder_report", "mu_K", "mu_MK", "ineq_sides", "ineq_gap_telescoped",
-         "notgraded_obstruction", "table", "mu_power"],
+    ids=["classify", "ladder", "ladder_report", "ineq_sides", "ineq_gap_telescoped", "notgraded_obstruction",
+         "table"],
 )
 def test_closed_form_bit_budget_refuses_before_any_comb(monkeypatch, call, message):
     monkeypatch.setattr(binomials.math, "comb", lambda n, k: pytest.fail("called math.comb"))

@@ -5,12 +5,10 @@ import importlib
 import numpy as np
 import pytest
 
-from reesag.binomials import b_of, ineq_gap_telescoped, ineq_sides, mu_power
+from reesag.binomials import b_of, ineq_gap_telescoped, ineq_sides
 from reesag.canonical import (
     ladder,
     ladder_report,
-    mu_K,
-    mu_MK,
     notgraded_obstruction,
     ulrich_numbers,
 )
@@ -20,12 +18,12 @@ from reesag.errors import check_budget, check_int
 # entry point -> (its size arguments, valid values for them)
 CLOSED_FORM = {
     "b_of": (b_of, ("d", "ell"), (7, 2)),
-    "mu_power": (mu_power, ("d", "k"), (3, 2)),
     "ineq_sides": (ineq_sides, ("d", "ell"), (7, 2)),
     "ineq_gap_telescoped": (ineq_gap_telescoped, ("d", "ell"), (7, 2)),
     "ladder": (ladder, ("d", "ell"), (7, 2)),
-    "mu_K": (mu_K, ("d", "ell"), (7, 2)),
-    "mu_MK": (mu_MK, ("d", "ell"), (7, 2)),
+    # the ladder properties are the library's mu_K and mu_MK
+    "mu_K": (lambda d, ell: ladder(d, ell).mu_K, ("d", "ell"), (7, 2)),
+    "mu_MK": (lambda d, ell: ladder(d, ell).mu_MK, ("d", "ell"), (7, 2)),
     "ulrich_numbers": (ulrich_numbers, ("d", "ell"), (7, 2)),
     "notgraded_obstruction": (notgraded_obstruction, ("d", "ell"), (7, 2)),
     "ladder_report": (ladder_report, ("d", "ell"), (7, 2)),
@@ -61,18 +59,16 @@ def test_closed_form_refuses_non_int_sizes(fn, args, name):
     [
         (lambda: b_of(1, 2), "need d >= 2, got 1"),
         (lambda: b_of(4, 0), "need ell >= 1, got 0"),
-        (lambda: mu_power(0, 2), "need d >= 1, got 0"),
         (lambda: ineq_sides(2, 2), "need d >= 3, got 2"),
         (lambda: ineq_gap_telescoped(3, 1), "need ell >= 2, got 1"),
         (lambda: ladder(7, 2).component_exponent(0), "need n >= 1, got 0"),
-        (lambda: mu_K(2, 2), "need d >= 3, got 2"),
         (lambda: notgraded_obstruction(5, 1), "need ell >= 2, got 1"),
         (lambda: classify(1, 2), "need d >= 2, got 1"),
         (lambda: table(5, 0), "need ell_max >= 1, got 0"),
     ],
     ids=[
-        "b_of-d", "b_of-ell", "mu_power-d", "ineq_sides-d",
-        "ineq_gap_telescoped-ell", "component_exponent-n", "mu_K-d", "notgraded_obstruction-ell",
+        "b_of-d", "b_of-ell", "ineq_sides-d",
+        "ineq_gap_telescoped-ell", "component_exponent-n", "notgraded_obstruction-ell",
         "classify-d", "table-ell_max",
     ],
 )

@@ -1,6 +1,7 @@
 """Monomial engine: arithmetic, colon vs brute force, colength, multiplicity."""
 
 import contextlib
+import math
 import operator
 import random
 import tracemalloc
@@ -16,10 +17,10 @@ from oracles import (
     minimal_gens, multiplicity_late_window, product_gens,
 )
 from reesag import Monomial, MonomialIdeal, _newton, maximal_power, monomials
-from reesag.binomials import mu_power
 from reesag.monomials import (
     IdealFileError,
     _antichain,
+    _canonical,
     _distinct_sums,
     _table_colon,
     brute_colon,
@@ -197,7 +198,7 @@ def test_maximal_power_shape():
     m3 = maximal_power(2, 3)
     assert [g.exponents for g in m3.gens] == [(3, 0), (2, 1), (1, 2), (0, 3)]
     assert maximal_power(4, 0).is_unit
-    assert maximal_power(3, 2).num_gens() == mu_power(3, 2)
+    assert maximal_power(3, 2).num_gens() == math.comb(3 + 2 - 1, 3 - 1)
 
 
 def test_membership_and_containment():
@@ -953,6 +954,139 @@ def test_dim2_contains_matches_membership(case):
     assert I.contains(J) == want
 
 
+# -- one-degree results in canonical order, with no sort and no antichain ------
+
+
+@contextlib.contextmanager
+def _recording(*names):
+    """Record each call of the named monomials functions while the block runs."""
+    calls = {name: 0 for name in names}
+    with pytest.MonkeyPatch.context() as patch:
+        for name in names:
+            patch.setattr(monomials, name, _counted(calls, name, getattr(monomials, name)))
+        yield calls
+
+
+@st.composite
+def one_degree_sets(draw, dim):
+    """1 to 12 distinct monomials of one degree in dim variables: some of all
+    those of a degree up to 6, or one_degree_gens' draw, past 2**62 at times."""
+    if draw(st.booleans()):
+        return draw(one_degree_gens(dim))
+    every = monomials._of_degree(dim, draw(st.integers(0, 6)))
+    return draw(st.lists(st.sampled_from(every), min_size=1, max_size=12, unique=True))
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_one_degree_products_come_out_canonical_without_a_sort(data):
+    # every path of _distinct_sums, and in dim 2 the sumset (the default
+    # thresholds from 48 pairs on), returns the sums in canonical order,
+    # which _of(minimal=True) stores as they come
+    dim = data.draw(st.integers(2, 5))
+    a, b = data.draw(one_degree_sets(dim)), data.draw(one_degree_sets(dim))
+    I, J = MonomialIdeal(dim, map(Monomial, a)), MonomialIdeal(dim, map(Monomial, b))
+    want = tuple(_canonical(product_gens(a, b)))
+    for path in ("default", *PATHS):
+        with contextlib.nullcontext() if path == "default" else engine_path(path):
+            with _recording("_canonical", "_antichain") as calls:
+                product = I * J
+        assert product._exps == want, path
+        assert calls == {"_canonical": 0, "_antichain": 0}, path
+
+
+@pytest.mark.parametrize(
+    "sizes, bitmap",
+    [((8, 8), True), ((7, 9), False)],
+    ids=["cells-equal-the-pairs", "cells-one-past-the-pairs"],
+)
+def test_numpy_products_dedup_by_bitmap_while_cells_fit_the_pairs(monkeypatch, sizes, bitmap):
+    # dim 3, degrees 3 and 4: base 8, two packed coordinates, so 64 cells
+    # against 8 x 8 = 64 pairs (marked in a bitmap) or 7 x 9 = 63 (sorted)
+    a, b = monomials._of_degree(3, 3)[: sizes[0]], monomials._of_degree(3, 4)[: sizes[1]]
+    I, J = MonomialIdeal(3, map(Monomial, a)), MonomialIdeal(3, map(Monomial, b))
+    assert (1 + 3 + 4) ** 2 - len(a) * len(b) == (0 if bitmap else 1)
+    marks, packed = [], []
+    flatnonzero, rows = np.flatnonzero, monomials._int64_rows
+    with engine_path("numpy"), monkeypatch.context() as patch:
+        patch.setattr(np, "flatnonzero", lambda *args: marks.append(1) or flatnonzero(*args))
+        patch.setattr(monomials, "_int64_rows", lambda *args: packed.append(1) or rows(*args))
+        product = I * J
+    assert packed and len(marks) == bitmap
+    assert product._exps == tuple(_canonical(product_gens(a, b)))
+
+
+def test_mixed_degree_numpy_products_dedup_by_bitmap(monkeypatch):
+    # m^32 in dim 3 with x^32 raised to x^33: mixed degrees, base 67, three
+    # packed coordinates, 300 763 cells against 561 x 561 = 314 721 pairs
+    a = [(33, 0, 0), *monomials._of_degree(3, 32)[:-1]]
+    I = MonomialIdeal(3, map(Monomial, a))
+    assert I.num_gens() == 561 and (1 + 2 * 33) ** 3 <= 561**2
+    with engine_path("python"):
+        want = I * I
+    marks = []
+    flatnonzero = np.flatnonzero
+    with engine_path("numpy"), monkeypatch.context() as patch:
+        patch.setattr(np, "flatnonzero", lambda *args: marks.append(1) or flatnonzero(*args))
+        assert I * I == want
+    assert marks == [1]
+
+
+@st.composite
+def one_degree_pairs(draw):
+    """(dim, a, b) in dims 1-5: one-degree generator lists, often of one and the same degree."""
+    dim = draw(st.integers(1, 5))
+    degree = draw(st.integers(0, 4))
+    every = monomials._of_degree(dim, degree)
+    sides = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            sides.append(draw(st.lists(st.sampled_from(every), min_size=1, max_size=8)))
+        else:
+            sides.append(draw(st.lists(st.sampled_from(monomials._of_degree(dim, draw(st.integers(0, 4)))),
+                                       min_size=1, max_size=8)))
+    return dim, *sides
+
+
+@settings(max_examples=200)
+@given(case=one_degree_pairs())
+def test_one_degree_sums_and_containment_match_oracle(case):
+    dim, a, b = case
+    I, J = MonomialIdeal(dim, map(Monomial, a)), MonomialIdeal(dim, map(Monomial, b))
+    same = sum(a[0]) == sum(b[0])
+    with _recording("_antichain", "_canonical") as calls:
+        total = I + J
+    assert total._exps == tuple(minimal_gens(a + b))
+    assert calls == {"_antichain": not same, "_canonical": not same}
+    assert I.contains(J) == all(member(a, q) for q in b)
+    assert J.contains(I) == all(member(b, q) for q in a)
+
+
+def test_one_degree_shortcuts_keep_off_other_ideals():
+    # the set shortcuts fire only for one and the same degree on both sides
+    for dim in (1, 2, 3):
+        m2, m3 = maximal_power(dim, 2), maximal_power(dim, 3)
+        assert not set(m2._exps) & set(m3._exps)
+        assert m2.contains(m3) and not m3.contains(m2)
+        assert m2 + m3 == m2 and m3 + m2 == m2
+        unit, zero = maximal_power(dim, 0), MonomialIdeal(dim)
+        assert unit.is_unit and unit + unit == unit and unit.contains(unit)
+        assert unit + m2 == unit and unit.contains(m2) and not m2.contains(unit)
+        assert zero + zero == zero and zero.contains(zero)
+        assert zero + m2 == m2 + zero == m2 and m2.contains(zero) and not zero.contains(m2)
+    # one degree plus mixed degrees: (x^2, xy, y^2) + (x^3, y) = (x^2, y)
+    mixed = ideal(2, (3, 0), (0, 1))
+    with _recording("_antichain") as calls:
+        total = maximal_power(2, 2) + mixed
+    assert calls == {"_antichain": 1}
+    assert total._exps == ((0, 1), (2, 0)) == tuple(minimal_gens([*maximal_power(2, 2)._exps, (3, 0), (0, 1)]))
+    assert not maximal_power(2, 2).contains(mixed) and not mixed.contains(maximal_power(2, 2))
+    assert ideal(2, (2, 0), (0, 1)).contains(maximal_power(2, 2))
+    # mixed degrees whose least one is m's: x divides x^3, and x is not in (y, x^3)
+    m = maximal_power(2, 1)
+    assert mixed + m == m + mixed == m and m.contains(mixed) and not mixed.contains(m)
+
+
 # -- colength over d-1 axes against the cell-by-cell oracle --------------------
 
 # box sides shrink with the dimension so that the oracle's walk stays small
@@ -1032,7 +1166,7 @@ def test_product_budget_refuses_before_allocating(monkeypatch):
         tracemalloc.stop()
     assert peak < 100_000
     # the budget counts pairs, so a long factor passes against a short one
-    assert (I * maximal_power(5, 1)).num_gens() == mu_power(5, 21)
+    assert (I * maximal_power(5, 1)).num_gens() == math.comb(5 + 21 - 1, 5 - 1)
 
 
 def test_intersection_budget_refuses_before_allocating():
@@ -1147,14 +1281,15 @@ def test_table_colon_matches_brute_force(case):
 @settings(max_examples=100)
 @given(case=table_colon_pairs())
 def test_table_colon_output_is_already_minimal(case):
-    # colon hands the table's cells to MonomialIdeal._of as minimal, so no
-    # antichain runs on them: that must change nothing
+    # colon puts the table's cells in canonical order and hands them to
+    # MonomialIdeal._of as minimal, so no antichain runs on them: that must
+    # change nothing
     dim, left, right = case
     table = _table_colon(left, right)
     assert all(type(e) is int for cell in table for e in cell)
     assert len(set(table)) == len(table)
     assert sorted(_antichain(table)) == sorted(table)
-    trusted = MonomialIdeal._of(dim, table, minimal=True)
+    trusted = MonomialIdeal._of(dim, _canonical(table), minimal=True)
     assert trusted == MonomialIdeal(dim, map(Monomial, table))
     assert _exps(trusted.gens) == minimal_gens(table)
 
