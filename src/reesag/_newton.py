@@ -18,6 +18,9 @@ e(I) is the sum of those determinants.  Everything is integer arithmetic.
   are adjacent, which is read off the zero sets alone (no third facet's zero
   set holds their common one).
 * The facets with w > 0 are the compact facets of P.
+* In dim 2 the compact facets are the edges of the lower hull of the
+  staircase, found in one monotone-chain pass (Andrew 1979) with no facet
+  enumeration, so dim 2 has no facet budget.
 * Each compact facet is triangulated by pulling: its lowest point in
   lexicographic order is a vertex; cone it over the triangulations of the
   facets of the face that miss it.  The facets of a face are the maximal
@@ -51,9 +54,19 @@ def _facet_bound(n: int, d: int) -> int:
 def multiplicity(gens: list[tuple[int, ...]], pure: list[int]) -> int:
     """e(I) of the non-unit m-primary ideal with minimal generators gens and pure powers x_i^pure[i].
 
+    In dim 2, a walk along the staircase (_lower_hull_walk); otherwise a sum
+    over the triangulated compact facets (_facet_sum)."""
+    total = _lower_hull_walk(gens) if len(pure) == 2 else _facet_sum(gens, len(pure))
+    if not 1 <= total <= math.prod(pure):
+        raise InvariantBreach(f"multiplicity {total} outside [1, {math.prod(pure)}] for pure powers {pure}")
+    return total
+
+
+def _facet_sum(gens: list[tuple[int, ...]], d: int) -> int:
+    """The sum of |det| over a triangulation of the compact facets on their vertices.
+
     Refuses before the enumeration when its n insertions, each testing up
     to _facet_bound(n, d) facets, could pass _FACET_TEST_CAP facet tests."""
-    d = len(pure)
     tests = len(gens) * _facet_bound(len(gens), d)
     check_budget(f"multiplicity facet tests of {len(gens)} generators in dim {d}", tests, _FACET_TEST_CAP)
     points = sorted(gens)  # bit d + k is points[k]; the lowest bit of a face is its lex-least point
@@ -79,9 +92,25 @@ def multiplicity(gens: list[tuple[int, ...]], pure: list[int]) -> int:
                 if not det:
                     raise InvariantBreach(f"degenerate simplex {simplex} on the facet {normal}")
                 total += abs(det)
-    if not 1 <= total <= math.prod(pure):
-        raise InvariantBreach(f"multiplicity {total} outside [1, {math.prod(pure)}] for pure powers {pure}")
     return total
+
+
+def _lower_hull_walk(gens: list[tuple[int, int]]) -> int:
+    """e(I) in dim 2: the sum of |det(v_k, v_k+1)| over consecutive vertices of the lower hull.
+
+    Sorted by x, minimal generators have strictly decreasing y, and the pure
+    powers are the first and last.  One monotone-chain pass keeps a point
+    only while it lies strictly below the segment from the point before it
+    to the next one: a point on an edge is not a vertex."""
+    hull: list[tuple[int, int]] = []
+    for x, y in sorted(gens):
+        while len(hull) >= 2:
+            (ox, oy), (ax, ay) = hull[-2], hull[-1]
+            if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                break
+            hull.pop()
+        hull.append((x, y))
+    return sum(x1 * y0 - x0 * y1 for (x0, y0), (x1, y1) in zip(hull, hull[1:]))
 
 
 def _facets(d: int, points: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:

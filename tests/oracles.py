@@ -16,13 +16,15 @@ componentwise max, and the goodness report of a pair (I, Q) is built from
 those with a membership scan for each witness; the canonical ladder is
 enumerated from the interior lattice points of the Rees cone; the
 multiplicity is the d-th finite difference of n -> colength(I^n) on a late
-window.
+window; the integral closure of a dim-2 ideal tests each cell of its box
+against every segment between two generators.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 
 def pascal_table(n_max: int) -> list[list[int]]:
@@ -291,3 +293,28 @@ def multiplicity_late_window(gens, start: int) -> int:
         values.append(power.colength())
         power = power * ideal
     return sum((-1) ** (d - k) * math.comb(d, k) * values[k] for k in range(d + 1))
+
+
+def newton_closure_2d(gens) -> list[tuple[int, int]]:
+    """Minimal generators of the integral closure of a dim-2 monomial ideal, by testing every cell.
+
+    A cell p lies in the Newton polyhedron iff some point of a segment
+    between two generators g, h divides it: t*g + (1-t)*h <= p for some t in
+    [0, 1], each coordinate a bound on t, solved in exact fractions.  Every
+    cell outside the box below the max of gens is divisible by a pure power
+    or a generator, so the box holds every minimal one.
+    """
+    def on_segment_below(p, g, h) -> bool:
+        lo, hi = Fraction(0), Fraction(1)
+        for a, b in ((g[k] - h[k], p[k] - h[k]) for k in range(2)):  # t * a <= b
+            if a > 0:
+                hi = min(hi, Fraction(b, a))
+            elif a < 0:
+                lo = max(lo, Fraction(b, a))
+            elif b < 0:
+                return False
+        return lo <= hi
+
+    top = [max(g[k] for g in gens) for k in range(2)]
+    cells = itertools.product(range(top[0] + 1), range(top[1] + 1))
+    return minimal_gens([p for p in cells if any(on_segment_below(p, g, h) for g in gens for h in gens)])

@@ -1,6 +1,7 @@
 """Monomial engine: arithmetic, colon vs brute force, colength, multiplicity."""
 
 import contextlib
+import functools
 import math
 import operator
 import random
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from engine_paths import PATHS, engine_path
 from oracles import (
     colength_by_membership, colon_by, colon_gens, count_below_degree, exponent_vectors, lcm, lcm_gens, member,
-    minimal_gens, multiplicity_late_window, product_gens,
+    minimal_gens, multiplicity_late_window, newton_closure_2d, product_gens,
 )
 from reesag import Monomial, MonomialIdeal, _newton, maximal_power, monomials
 from reesag.monomials import (
@@ -352,6 +353,29 @@ def test_multiplicity_refuses_non_primary_before_the_hull(monkeypatch, I, index)
             call()
 
 
+_STAIR = [(a, 40 - a, 0) for a in range(41)]  # x^40 .. y^40: 41 generators, past _SCATTER_NUMPY_GENS
+
+
+@pytest.mark.parametrize(
+    "gens, message",
+    [
+        (_STAIR, "^not m-primary: no pure power of variable index 2 among the generators$"),
+        (_STAIR[:-1] + [(0, 0, 5)], "^not m-primary: no pure power of variable index 0 among the generators$"),
+        # an exponent past int64: the pure powers are read off the tuples
+        (_STAIR + [(1, 0, 2**70)], "^not m-primary: no pure power of variable index 2 among the generators$"),
+        (_STAIR + [(0, 0, 2**70)], f"^colength box cells: {1600 * 2**70} over the budget of 100000000$"),
+    ],
+    ids=["no-z", "no-x", "no-z-past-int64", "z-past-int64"],
+)
+def test_colength_refusals_are_the_same_on_every_path(gens, message):
+    I = MonomialIdeal(3, map(Monomial, gens))
+    assert I.num_gens() >= monomials._SCATTER_NUMPY_GENS
+    for path in ("default", *PATHS):
+        with contextlib.nullcontext() if path == "default" else engine_path(path):
+            with pytest.raises(ValueError, match=message):
+                I.colength()
+
+
 def test_multiplicity_budget_refuses_before_the_hull():
     # 1 820 generators in dim 5: McMullen's bound allows 3 317 862 facets
     I = maximal_power(5, 12)
@@ -386,6 +410,54 @@ def primary_ideals(draw):
 def test_multiplicity_matches_late_window_finite_difference(gens):
     I = MonomialIdeal(len(gens[0]), map(Monomial, gens))
     assert I.multiplicity() == multiplicity_late_window(gens, len(gens[0]) + 1)
+
+
+@st.composite
+def staircases(draw):
+    """Minimal generators of an m-primary ideal in dim 2, from y^b down to a pure power of x.
+
+    Each run repeats one step (dx, -dy), so its points are collinear: the
+    inner ones lie on a hull edge, or above the hull, and are not vertices."""
+    x, y = 0, draw(st.integers(1, 12))
+    gens = [(x, y)]
+    while y:
+        dx, dy = draw(st.integers(1, 4)), draw(st.integers(1, y))
+        for _ in range(draw(st.integers(1, 4))):
+            x, y = x + dx, max(y - dy, 0)
+            gens.append((x, y))
+            if not y:
+                break
+    return gens
+
+
+@settings(max_examples=150)
+@given(gens=staircases())
+@example(gens=[(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)])  # m^4: every point on one edge
+@example(gens=[(0, 6), (1, 3), (2, 0)])  # one edge through (1, 3)
+@example(gens=[(0, 10), (4, 8), (8, 7), (12, 6), (14, 1), (16, 0)])
+def test_lower_hull_walk_matches_the_facet_kernel_and_late_window(gens):
+    e = _newton._lower_hull_walk(gens)
+    assert e == _newton._facet_sum(gens, 2)
+    assert MonomialIdeal(2, map(Monomial, gens)).multiplicity() == e
+    # e(I) = e of its integral closure (Rees).  In two variables a closed
+    # ideal's powers are closed (Zariski) with reduction number 1 (Lipman-
+    # Teissier), so its colengths are a polynomial from n = 1 on and the window
+    # at 1 reads e.  I's own window can need a late start: on the last example
+    # it reads 150, 156, 158, 158 at starts 1-4 and e = 156 from 5 on.
+    closure = newton_closure_2d(gens)
+    assert _newton._lower_hull_walk(closure) == e
+    assert multiplicity_late_window(closure, 1) == e
+
+
+def test_dim2_multiplicity_needs_no_facet_budget(monkeypatch):
+    # 3 201 generators on the convex curve y = (3200 - x)^2: past the facet
+    # budget, which the walk does not consult
+    K = 3200
+    I = MonomialIdeal(2, [Monomial((a, (K - a) ** 2)) for a in range(K + 1)])
+    monkeypatch.setattr(_newton, "_facet_sum", lambda *args: pytest.fail("enumerated facets"))
+    assert I.num_gens() * _newton._facet_bound(I.num_gens(), 2) > _newton._FACET_TEST_CAP
+    # every generator is a vertex: 2 * the area under the polygon
+    assert I.multiplicity() == sum((a + 1) * (K - a) ** 2 - a * (K - a - 1) ** 2 for a in range(K))
 
 
 def test_ideal_file_roundtrip():
@@ -1150,6 +1222,79 @@ def test_colength_cap_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+# -- the drop table's narrow dtype ----------------------------------------------
+
+# fill of the table and the dtype that holds -fill - 1 .. fill: each side of the
+# int8 and int16 edges
+_DTYPE_EDGES = [(127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32)]
+
+
+@pytest.mark.parametrize("fill, dtype", _DTYPE_EDGES, ids=[str(fill) for fill, _ in _DTYPE_EDGES])
+def test_drop_table_dtype_edges(fill, dtype):
+    gens = [(fill - 1, 0), (0, 1)]
+    with engine_path("numpy"):
+        narrow = monomials._drop_table(gens, 0, [3], fill)
+    with engine_path("tuple"):
+        wide = monomials._drop_table(gens, 0, [3], fill)
+    assert narrow.dtype == dtype and wide.dtype == np.int64
+    assert narrow.tolist() == wide.tolist() == [fill - 1, 0, 0]
+
+
+def test_drop_table_takes_the_narrow_dtype_from_sweep_cells():
+    below = monomials._drop_table([(5, 0, 0)], 0, [63, 65], 5)
+    at = monomials._drop_table([(5, 0, 0)], 0, [64, 64], 5)
+    assert 63 * 65 < monomials._SWEEP_CELLS == 64 * 64
+    assert below.dtype == np.int64 and at.dtype == np.int8
+    assert below.sum() == 63 * 65 * 5 and at.sum() == 64 * 64 * 5
+
+
+@pytest.mark.parametrize("fill", [fill for fill, _ in _DTYPE_EDGES])
+def test_colength_at_the_dtype_edges(fill):
+    # the drop axis is x, so the table holds x-exponents up to fill itself
+    cases = [
+        (2, [(fill, 0), (0, 3), (fill - 1, 1), (fill // 2, 2)]),
+        (3, [(fill, 0, 0), (0, 3, 0), (0, 0, 2), (fill - 1, 1, 0), (fill // 3, 0, 1), (0, 2, 1)]),
+    ]
+    for dim, gens in cases[: 2 if fill < 256 else 1]:
+        want = colength_by_membership(gens)
+        I = MonomialIdeal(dim, map(Monomial, gens))
+        for path in ("default", *PATHS):
+            with contextlib.nullcontext() if path == "default" else engine_path(path):
+                assert I.colength() == want, (dim, path)
+
+
+@pytest.mark.parametrize("dim, ell", [(3, 127), (3, 128), (5, 20)])
+def test_colength_of_large_powers_takes_the_narrow_sweep(dim, ell):
+    # tables of 127^2 int8, 128^2 int16 and 20^4 int8 cells; the last sweeps
+    # its slabs on every axis but the contiguous one
+    assert ell ** (dim - 1) >= monomials._SWEEP_CELLS
+    assert maximal_power(dim, ell).colength() == math.comb(ell + dim - 1, dim)
+
+
+@pytest.mark.parametrize("dim, top", [(2, 62), (2, 63), (1, 16382), (1, 16383)])
+def test_table_colon_at_the_dtype_edges(dim, top):
+    # bound = top + 1 and fill = 2 * bound: 126 is int8, 128 int16, 32766
+    # int16, 32768 int32.  The divisors reach past the bound, so the shifted
+    # tables run from -bound to 2 * bound, and cells at the fill sit next to
+    # cells at 0.  In dim 1, (x^top) : (x^m, ...) is x to the largest top - m
+    # clipped at 0, the lcm of the single colons
+    if dim == 2:
+        left = [(top, 0), (0, 3), (top - 1, 1), (top // 2, 2), (1, 2)]
+        right = [(top + 5, 0), (0, 1), (top // 2, 1), (3, 0), (0, 0), (1, 1), (2, 2), (top, 3)]
+    else:
+        left = [(top,)]
+        right = [(top + 5,), (top // 2,), (1,), (0,)]
+    I = MonomialIdeal(dim, map(Monomial, left))
+    for k in range(1, len(right) + 1):
+        if dim == 2:
+            want = brute_colon(I, MonomialIdeal(dim, map(Monomial, right[:k])), sufficient_colon_bound(I))
+        else:
+            want = MonomialIdeal(1, [Monomial(functools.reduce(lcm, (colon_by(left[0], m) for m in right[:k])))])
+        for path in ("default", *PATHS):
+            with contextlib.nullcontext() if path == "default" else engine_path(path):
+                assert MonomialIdeal(dim, map(Monomial, _table_colon(left, right[:k]))) == want, (path, k)
 
 
 def test_product_budget_refuses_before_allocating(monkeypatch):
