@@ -142,6 +142,11 @@ def notgraded_obstruction(d: int, ell: int) -> Obstruction:
     if ell == d - 1:
         raise ValueError("ell = d-1 is the Gorenstein diagonal; no obstruction there")
     _check_cell_bits(d, ell)
+    return _obstruction(d, ell)
+
+
+def _obstruction(d: int, ell: int) -> Obstruction:
+    """notgraded_obstruction on a cell its caller has checked: a divisor cell off the diagonal."""
     b = (d - 1) // ell - 1
     if b != _b(d, ell):
         raise InvariantBreach("divisor-case b must match the floor form")

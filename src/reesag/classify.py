@@ -35,7 +35,7 @@ import json
 from typing import NamedTuple
 
 from .binomials import _cell, _check_grid_bits, _mu_row
-from .canonical import Obstruction, ladder, notgraded_obstruction
+from .canonical import Obstruction, _obstruction, ladder
 from .errors import InvariantBreach, check_budget, check_int
 
 __all__ = [
@@ -142,7 +142,7 @@ def _label(d: int, ell: int, b: int, e: int, gap: int, mu_tail: int) -> tuple[Cl
         rule = "divisor-local-only"
         if gap != 0:
             raise InvariantBreach(f"divisor-local-only needs gap = 0, got {gap} at d={d}, ell={ell}")
-        obstruction = notgraded_obstruction(d, ell)
+        obstruction = _obstruction(d, ell)
     else:
         rule = "gap-positive"
         if gap <= 0:

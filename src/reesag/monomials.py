@@ -47,18 +47,20 @@ Key choices:
   multiply, add and compare such ideals: powers of m, J = m^(ell-1) and
   principal ideals.
   Intersections and colons form each pair as one ``tuple(map(...))`` (max,
-  or the difference clipped at 0).  While base**(packed coordinates) <
-  2**62, numpy adds the packed int64s, drops repeats and unpacks with
-  divmod: from 2 048 pairs on once it is loaded (it wins from about 64
-  pairs, 2-6x from 144 pairs in dims 2-5), and from 10^6 pairs on before.
-  Python's sums cost 0.05-0.17 us a pair and numpy saves at most 0.15 of
-  them, against 140-150 ms to import it, so a product below 10^6 pairs
-  never makes a process load it.  numpy drops repeats by marking each sum
-  in a boolean array of base**(packed coordinates) cells and reading the
-  marks back with ``np.flatnonzero``, while those cells are no more than
-  the pairs, the rule ``_sumset`` keeps below; past it, by a sort.  On
-  m^12 * m^4 in dim 5 (127 400 pairs, 83 521 cells) that step fell from
-  1.7 to 0.3 ms;
+  or the difference clipped at 0).  From 2 048 pairs on, while
+  base**(packed coordinates) < 2**62 and numpy is already loaded, numpy
+  adds the packed int64s, drops repeats and unpacks with divmod (it wins
+  from about 64 pairs, 2-6x from 144 pairs in dims 2-5).  A product never
+  imports numpy: Python's sums cost 0.05-0.17 us a pair and numpy saves at
+  most 0.15 us of them, so the import pays only in a process that loads
+  numpy anyway: m^22 * m^16 in dim 4, 2 228 700 pairs, takes 85 ms in
+  Python against 12 ms in numpy plus 50 ms to import it (2-CPU Linux VM,
+  Python 3.11, numpy 2.4).  numpy drops repeats by marking each sum in a
+  boolean array of base**(packed coordinates) cells and reading the marks
+  back with ``np.flatnonzero``, while those cells are no more than the
+  pairs, the rule ``_sumset`` keeps below; past it, by a sort.  On
+  m^12 * m^4 in dim 5 (127 400 pairs, 83 521 cells) the marks take 0.3 ms
+  against 1.7 ms for the sort;
 * in two variables a one-degree ideal of degree D is its set of
   x-exponents (each y is D - x), so a product of two such ideals is the
   sumset of those sets.  From 48 pairs on it is one int per factor, with
@@ -66,11 +68,9 @@ Key choices:
   factor's int shifted by each x of the shorter: Python ints, so
   exponents of any size stay exact.  It runs while those ints span at
   most as many bits as there are pairs; wider, sparser factors pack as
-  above.  m^1000 * m^1000 fell from 10.9 to 1.2 ms (2-CPU Linux VM,
-  Python 3.11), and every product of the d = 2 certificate and of the
-  Veronese checks takes it.  m^k in two variables is one comprehension,
-  and containment in a two-variable ideal one loop of bisects on its
-  staircase;
+  above.  m^1000 * m^1000 takes 0.45 ms as a sumset against 2.9 ms
+  packed, and every product of the d = 2 certificate and of the Veronese
+  checks takes it.  m^k in two variables is one comprehension;
 * a product or an intersection refuses past 10^7 generator pairs (about
   80 MB of a product's int64 sums, up to about 1 GB of an intersection's
   tuples), colength past 10^8 box cells and m^k past 10^6 generators
@@ -97,13 +97,14 @@ Key choices:
   generators.  Measured, the table won 190 of 220 colons of 16-31 pairs and
   all 130 from 64 on; smaller colons stay pairwise and off numpy, which
   loads on the first table.  ``np.minimum.accumulate`` is a scalar loop of
-  about 4 ns a cell on any axis, so a table of 4 096 cells or more takes the
-  narrowest signed dtype that holds -fill - 1 .. fill, and each axis whose
-  slabs hold >= 1 024 cells in contiguous runs of >= 8 is swept slab by
-  slab, one vectorized ``np.minimum`` per slab: 3.5x faster on the 20^4
-  int8 table of m^20 in dim 5.  Slabs of 256 cells lost 2-5x on 16^3, and
-  the last axis of 1 000^2, slabs in runs of one cell, lost 5.5x.  Below
-  4 096 cells the narrow dtype did not pay, so small tables stay int64;
+  about 4 ns a cell on any axis, so every table takes the narrowest signed
+  dtype that holds -fill - 1 .. fill, and each axis whose slabs hold
+  >= 1 024 cells in contiguous runs of >= 8 is swept slab by slab, one
+  vectorized ``np.minimum`` per slab: 3.5x faster on the 20^4 int8 table
+  of m^20 in dim 5.  Slabs of 256 cells lost 2-5x on 16^3, and the last
+  axis of 1 000^2, slabs in runs of one cell, lost 5.5x.  On tiny tables
+  the dtype makes no difference: a dim-3 colength of 4 generators takes
+  11 us on int64 and on int8;
 * multiplicity is d! times the covolume of the Newton polyhedron
   conv(generators) + R^d_{>=0} (Teissier 2004; Herzog-Hibi, GTM 260): a sum
   of integer determinants over a triangulation of its compact facets, from
@@ -136,9 +137,7 @@ _DEGREE_GEN_CAP = 1_000_000
 _COLON_TABLE_PAIRS = 64
 _SUM_PACK_PAIRS = 48
 _SUM_NUMPY_PAIRS = 2048
-_SUM_NUMPY_COLD_PAIRS = 1_000_000
 _SCATTER_NUMPY_GENS = 32
-_SWEEP_CELLS = 4096
 _SLAB_CELLS = 1024
 _SLAB_RUN = 8
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -225,24 +224,24 @@ def _distinct_sums(
 ) -> list[tuple[int, ...]]:
     """The distinct exponent-wise sums p + q over p in a, q in b (nonempty, one length).
 
-    Below _SUM_PACK_PAIRS pairs each sum is one tuple, and base and degree
-    are not read.  From there on each tuple is packed into one int in base,
-    coordinate 0 most significant.  base exceeds every coordinate of every
-    sum, so no field carries and the packed sum is the sum of the packed
-    ints.  With degree given, every p + q has that degree (dim >= 2): only
-    the first dim-1 coordinates are packed, each sum's last one is degree
-    minus the rest, and the sums come back in canonical order, which for
-    one degree is lexicographically descending, so packed ints descending.
-    From _SUM_NUMPY_PAIRS pairs on if numpy is loaded, or
-    _SUM_NUMPY_COLD_PAIRS if not, and while every packed sum fits int64
-    (all are below cells = base**(packed coordinates)), numpy forms them in
-    one array.  While cells <= pairs it marks each sum in a boolean array
-    of cells entries and reads the marks back ascending; past that it sorts
-    the sums in place and keeps each first occurrence.  In dim 2 with
-    degree given, _sumset is tried before any packing.
+    Below _SUM_PACK_PAIRS pairs, and in dim 1, each sum is one tuple, and
+    base is not read.  From there on each tuple is packed into one int in
+    base, coordinate 0 most significant.  base exceeds every coordinate of
+    every sum, so no field carries and the packed sum is the sum of the
+    packed ints.  With degree given, every p + q has that degree: only the
+    first dim-1 coordinates are packed, each sum's last one is degree minus
+    the rest, and the sums come back in canonical order, which for one
+    degree is lexicographically descending, so packed ints descending.
+    From _SUM_NUMPY_PAIRS pairs on, if numpy is already loaded, and while
+    every packed sum fits int64 (all are below cells = base**(packed
+    coordinates)), numpy forms them in one array.  While cells <= pairs it
+    marks each sum in a boolean array of cells entries and reads the marks
+    back ascending; past that it sorts the sums in place and keeps each
+    first occurrence.  In dim 2 with degree given, _sumset is tried before
+    any packing.
     """
     pairs = len(a) * len(b)
-    if pairs < _SUM_PACK_PAIRS:
+    if pairs < _SUM_PACK_PAIRS or len(a[0]) == 1:  # a dim-1 ideal has one generator: one pair, nothing to pack
         add = operator.add
         sums = {tuple(map(add, p, q)) for p in a for q in b}
         return list(sums) if degree is None else sorted(sums, reverse=True)
@@ -254,8 +253,7 @@ def _distinct_sums(
     packed = dim if degree is None else dim - 1
     weights = [base**k for k in range(packed - 1, -1, -1)]
     cells = base**packed
-    vectorized = (pairs >= _SUM_NUMPY_PAIRS and ("numpy" in sys.modules or pairs >= _SUM_NUMPY_COLD_PAIRS)
-                  and cells < 2**62)
+    vectorized = pairs >= _SUM_NUMPY_PAIRS and "numpy" in sys.modules and cells < 2**62
     cols = []  # one column per packed coordinate, the least significant first
     if vectorized:
         import numpy as np
@@ -385,17 +383,15 @@ def _drop_table(gens: list[tuple[int, ...]], drop: int, shape: list[int], fill: 
     np.minimum.at scatters them at their flat cell indices, read from rows, the
     generators' _int64_rows, when the caller already has them.
 
-    Below _SWEEP_CELLS cells the table is int64 and np.minimum.accumulate spreads
-    it along each axis.  From _SWEEP_CELLS on it has the narrowest signed dtype
-    that holds -fill - 1 .. fill (int8 up to fill 127), so a caller's arithmetic
-    on values in [-fill, fill] cannot wrap, and an axis whose slabs hold
-    _SLAB_CELLS cells or more, in contiguous runs of _SLAB_RUN or more, is swept
-    slab by slab: one vectorized np.minimum of each slab with the one below."""
+    The table has the narrowest signed dtype that holds -fill - 1 .. fill (int8
+    up to fill 127), so a caller's arithmetic on values in [-fill, fill] cannot
+    wrap.  An axis whose slabs hold _SLAB_CELLS cells or more, in contiguous runs
+    of _SLAB_RUN or more, is swept slab by slab: one vectorized np.minimum of
+    each slab with the one below.  Every other axis takes np.minimum.accumulate."""
     import numpy as np
 
     cells = math.prod(shape)
-    narrow = cells >= _SWEEP_CELLS
-    t = np.full(shape, fill, dtype=np.min_scalar_type(-fill - 1) if narrow else np.int64)
+    t = np.full(shape, fill, dtype=np.min_scalar_type(-fill - 1))
     if len(gens) >= _SCATTER_NUMPY_GENS:
         # a generator's flat cell index skips its drop-axis exponent: stride 0 there
         strides = [math.prod(shape[k + 1 :]) for k in range(len(shape))]
@@ -414,7 +410,7 @@ def _drop_table(gens: list[tuple[int, ...]], drop: int, shape: list[int], fill: 
         if lowest:
             t[tuple(zip(*lowest))] = list(lowest.values()) if shape else lowest[()]
     for axis, side in enumerate(shape):
-        if narrow and cells // side >= _SLAB_CELLS and math.prod(shape[axis + 1 :]) >= _SLAB_RUN:
+        if cells // side >= _SLAB_CELLS and math.prod(shape[axis + 1 :]) >= _SLAB_RUN:
             v = np.moveaxis(t, axis, 0)
             for i in range(1, side):  # slices, not v[i]: in one dimension that is a scalar
                 np.minimum(v[i - 1 : i], v[i : i + 1], out=v[i : i + 1])
@@ -564,15 +560,7 @@ class MonomialIdeal:
         check_equal("dimension", other.dim, self.dim)
         if _one_degree(self._exps, other._exps):
             return set(other._exps) <= set(self._exps)
-        if self.dim != 2:
-            return all(map(self._has, other._exps))
-        xs, ys = self._staircase()  # _has's bisect, inlined: one loop, no call per generator
-        right = bisect.bisect_right
-        for x, y in other._exps:
-            i = right(xs, x)
-            if not i or ys[i - 1] > y:
-                return False
-        return True
+        return all(map(self._has, other._exps))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -588,8 +576,8 @@ class MonomialIdeal:
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """The product ideal; refuses before forming any pair past _PRODUCT_PAIR_CAP pairs.
 
-        If both factors are generated in one degree (dim >= 2), every distinct
-        sum has that degree and is a minimal generator, so no antichain runs.
+        If both factors are generated in one degree, every distinct sum has
+        that degree and is a minimal generator, so no antichain runs.
         """
         check_equal("dimension", other.dim, self.dim)
         a, b = self._exps, other._exps
@@ -598,7 +586,7 @@ class MonomialIdeal:
             return MonomialIdeal._of(self.dim, ())
         # in canonical order the first generator has the least degree and the last the largest
         top = sum(a[-1]) + sum(b[-1])
-        if self.dim > 1 and sum(a[0]) + sum(b[0]) == top:
+        if sum(a[0]) + sum(b[0]) == top:
             return MonomialIdeal._of(self.dim, _distinct_sums(a, b, 1 + top, top), minimal=True)
         return MonomialIdeal._of(self.dim, _distinct_sums(a, b, 1 + top))
 
@@ -655,10 +643,7 @@ class MonomialIdeal:
         monomials.  Above a cell u of all sides but the longest lie t(u)
         standard monomials (_drop_table); the colength is the sum of t.  From
         _SCATTER_NUMPY_GENS generators on, the pure powers are read off the
-        generators' int64 rows, which the table's scatter then reuses.  A table
-        of _SWEEP_CELLS cells or more holds the narrow dtype (int8 for pure
-        powers up to 127) and is swept slab by slab: m^20 in dim 5, a
-        160 000-cell int8 table, took 3.4 ms against 5.4 ms on int64.
+        generators' int64 rows, which the table's scatter then reuses.
         """
         if self.is_unit:
             return 0

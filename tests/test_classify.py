@@ -239,6 +239,17 @@ def test_each_rule_checks_its_fact(monkeypatch, rule):
         table(d, ell)
 
 
+def test_classify_checks_a_divisor_cell_once(monkeypatch):
+    # (7, 3) is a divisor cell off the diagonal, so classify also builds its obstruction
+    cells = []
+    check = binomials._check_cell_bits
+    for module in (binomials, canonical):
+        monkeypatch.setattr(module, "_check_cell_bits", lambda d, ell: cells.append((d, ell)) or check(d, ell))
+    label, ev = classify(7, 3)
+    assert label == ClassLabel.ALMOST_GORENSTEIN_LOCAL_ONLY and ev.obstruction == (1, 3**7)
+    assert cells == [(7, 3)]
+
+
 def test_bit_budget_admits_the_largest_printed_bound():
     # classify 20001 10000 prints 10000^20001, 80 005 digits, below 2^280014
     binomials._check_cell_bits(20001, 10000)

@@ -99,8 +99,8 @@ def test_closed_form_entry_points_check_each_argument_once(monkeypatch):
                         "ladder_report"):
             calls.clear()
             CLOSED_FORM[fn_name][0](d, ell)
-            # classify and ladder_report also ask notgraded_obstruction, which checks its own arguments
-            obstructed = fn_name in ("classify", "ladder_report") and (d, ell) == (7, 2)
+            # ladder_report also asks notgraded_obstruction, which checks its own arguments
+            obstructed = fn_name == "ladder_report" and (d, ell) == (7, 2)
             assert len(calls) <= (4 if obstructed else 2), (fn_name, d, ell, calls)
 
 

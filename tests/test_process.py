@@ -94,15 +94,12 @@ def test_numpy_stays_off_small_cli_colons(tmp_path):
 
 
 def test_numpy_stays_off_the_small_product_verbs(tmp_path):
-    # before numpy is loaded, a product takes it only from 10^6 pairs on
-    # (certificate --ell 21 forms 106 x 21 pairs and its colon, 2 x 22, stays
-    # below the table threshold; veronese --r 60 multiplies modules of up to
-    # 62 generators)
+    # a product never imports numpy (certificate --ell 21 forms 106 x 21
+    # pairs and its colon, 2 x 22, stays below the table threshold; veronese
+    # --r 60 multiplies modules of up to 62 generators)
     code = """
         import contextlib, io, sys
-        from reesag import monomials
         from reesag.cli import main
-        monomials._SUM_NUMPY_COLD_PAIRS = CUTOFF
         for argv in ARGVS:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)
@@ -111,23 +108,33 @@ def test_numpy_stays_off_the_small_product_verbs(tmp_path):
     small = [["certificate", "--ell", "5"], ["veronese", "--r", "3"],
              ["selfcheck", "--seed", "7", "--trials", "20", "--format", "json"], ["veronese", "--r", "60"],
              ["certificate", "--ell", "21"]]
-    # the control, with that threshold lowered to 2 048: a dim-2 product of
-    # one-degree ideals sums bitsets and still leaves numpy off, while the
-    # square of m^9 in dim 3, 55 x 55 pairs, packs and loads it; its colon by
-    # the principal (x^9) has 55 pairs, below the table threshold
+    # the control: good-check of m^9 in dim 3 against (x^9, y^9, z^9) squares
+    # m^9, 55 x 55 pairs, in Python, and its colon, 3 x 55 pairs, loads numpy
+    # for the drop table
     (tmp_path / "I.txt").write_text("".join(f"{a} {b} {9 - a - b}\n" for a in range(10) for b in range(10 - a)))
-    (tmp_path / "Q.txt").write_text("9 0 0\n")
-    control = [["certificate", "--ell", "21"],
-               ["good-check", "--dim", "3", "--ideal", str(tmp_path / "I.txt"), "--reduction", str(tmp_path / "Q.txt")]]
-    runs = [(small, "monomials._SUM_NUMPY_COLD_PAIRS"), (control, "2048")]
-    outputs = [run_python(code.replace("ARGVS", repr(argvs)).replace("CUTOFF", cutoff)) for argvs, cutoff in runs]
+    (tmp_path / "Q.txt").write_text("9 0 0\n0 9 0\n0 0 9\n")
+    control = [["good-check", "--dim", "3", "--ideal", str(tmp_path / "I.txt"), "--reduction", str(tmp_path / "Q.txt")]]
+    outputs = [run_python(code.replace("ARGVS", repr(argvs))) for argvs in (small, control)]
     for proc in outputs:
         assert proc.returncode == 0, proc.stderr
     assert [proc.stdout.splitlines() for proc in outputs] == [
         ["certificate 5 0 False", "veronese 3 0 False", "selfcheck 7 0 False", "veronese 60 0 False",
          "certificate 21 0 False"],
-        ["certificate 21 0 False", "good-check 3 0 True"],
+        ["good-check 3 0 True"],
     ]
+
+
+def test_a_cold_product_of_millions_of_pairs_stays_off_numpy():
+    # m^22 * m^16 in dim 4: 2 300 x 969 = 2 228 700 pairs, packed and summed in Python
+    proc = run_python(
+        """
+        import sys
+        from reesag.monomials import maximal_power as p
+        print(p(4, 22) * p(4, 16) == p(4, 38), "numpy" in sys.modules)
+        """
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True False"]
 
 
 def test_row_breach_exits_3_under_optimize():
