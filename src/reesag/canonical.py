@@ -5,11 +5,11 @@ R(m^ell) is a ladder: the unit ideal in degrees 1 .. b and m^(n*ell-d+1)
 in degrees n >= b+1, where b = floor((d-2)/ell).  The a-invariant is -1.
 Everything this package needs downstream is a function of b and the tail
 exponent e = (b+1)*ell - d + 1: the generator counts of K and MK, the
-inequality deciding almost Gorensteinness, the Ulrich numbers of the
-unit-tail case, and the multiplicity obstruction that rules out the graded
-property for proper divisors.  A ladder holds nothing but the IneqSides of
-the binomials kernel, which derives b, e and the counts behind mu_K and
-mu_MK, and the a-invariant; its d, ell, b and e are read off those sides.
+inequality deciding almost Gorensteinness, and the multiplicity
+obstruction that rules out the graded property for proper divisors.  A
+ladder holds nothing but the IneqSides of the binomials kernel, which
+derives b, e and the counts behind mu_K and mu_MK, and the a-invariant;
+its d, b and e are read off those sides.
 Its records are NamedTuples.  Each entry point refuses a cell past the
 binomials bit budget before any math.comb.
 """
@@ -20,14 +20,11 @@ from typing import NamedTuple
 
 from .binomials import IneqSides, _b, _check_cell_bits, _sides, ineq_sides
 from .errors import InvariantBreach, check_int
-from .monomials import MonomialIdeal, maximal_power
 
 __all__ = [
     "CanonicalLadder",
-    "UlrichNumbers",
     "Obstruction",
     "ladder",
-    "ulrich_numbers",
     "notgraded_obstruction",
     "ladder_report",
 ]
@@ -36,12 +33,10 @@ __all__ = [
 class CanonicalLadder(NamedTuple):
     """Closed form of the ladder: unit ideal up to b, powers of m after.
 
-    sides holds every number of the cell; d, ell, b and tail_exponent read
-    it.  tail_exponent is the exponent e with J = m^e in degree b+1; the
+    sides holds every number of the cell; d, b and tail_exponent read it.
+    tail_exponent is the exponent e with J = m^e in degree b+1; the
     degree-n component for n > b+1 is m^(e + (n-b-1)*ell) = m^(n*ell-d+1).
-    The ladder is never materialized as a list; component() builds single
-    degrees on demand.  A NamedTuple, so it also equals the plain tuple
-    (sides, a_invariant).
+    A NamedTuple, so it also equals the plain tuple (sides, a_invariant).
     """
 
     sides: IneqSides
@@ -50,10 +45,6 @@ class CanonicalLadder(NamedTuple):
     @property
     def d(self) -> int:
         return self.sides.d
-
-    @property
-    def ell(self) -> int:
-        return self.sides.ell
 
     @property
     def b(self) -> int:
@@ -81,22 +72,6 @@ class CanonicalLadder(NamedTuple):
         """
         return self.b * self.d + self.sides.lhs
 
-    def component_exponent(self, n: int) -> int:
-        """Exponent k with degree-n component m^k (k = 0 means unit ideal)."""
-        check_int("n", n, 1)
-        if n <= self.b:
-            return 0
-        return n * self.ell - self.d + 1
-
-    def component(self, n: int) -> MonomialIdeal:
-        return maximal_power(self.d, self.component_exponent(n))
-
-
-class UlrichNumbers(NamedTuple):
-    c: int
-    mu_C: int
-    e_C: int
-
 
 class Obstruction(NamedTuple):
     mu_bound: int
@@ -109,23 +84,6 @@ def ladder(d: int, ell: int) -> CanonicalLadder:
     check_int("ell", ell, 1)
     _check_cell_bits(d, ell)
     return CanonicalLadder(_sides(d, ell))
-
-
-def ulrich_numbers(d: int, ell: int) -> UlrichNumbers:
-    """Ulrich data of C = K/R t^(b+1) in the unit-tail case.
-
-    When the ladder is R t + ... + R t^(c+1), the cokernel C of the
-    comparison map R -> K(1) is free of rank c over the ambient ring, so
-    mu(C) = e(C) = c with c = (d-1)/ell - 1.  Requires ell | d-1.
-    """
-    check_int("d", d, 2)
-    check_int("ell", ell, 1)
-    if (d - 1) % ell != 0:
-        raise ValueError(
-            f"ulrich_numbers needs ell | d-1 (unit ladder tail), got d={d}, ell={ell}"
-        )
-    c = _b(d, ell)  # (d-1)/ell - 1, since ell | d-1
-    return UlrichNumbers(c=c, mu_C=c, e_C=c)
 
 
 def notgraded_obstruction(d: int, ell: int) -> Obstruction:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import functools
 import io
 import json
 from typing import NamedTuple
@@ -53,9 +52,8 @@ __all__ = [
 _TABLE_CELL_CAP = 1_000_000
 
 
-@functools.total_ordering
 class ClassLabel(enum.Enum):
-    """Possible verdicts, ordered by strength (Gor strongest, NONE weakest)."""
+    """Possible verdicts, from Gor, the strongest, down to NONE."""
 
     GORENSTEIN_GRADED = "Gor"
     ALMOST_GORENSTEIN_GRADED = "AG"
@@ -66,22 +64,6 @@ class ClassLabel(enum.Enum):
     def symbol(self) -> str:
         return self.value
 
-    @property
-    def strength(self) -> int:
-        return _STRENGTH[self]
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, ClassLabel):
-            return NotImplemented
-        return self.strength < other.strength
-
-
-_STRENGTH = {
-    ClassLabel.NONE: 0,
-    ClassLabel.ALMOST_GORENSTEIN_LOCAL_ONLY: 1,
-    ClassLabel.ALMOST_GORENSTEIN_GRADED: 2,
-    ClassLabel.GORENSTEIN_GRADED: 3,
-}
 
 # rule tag -> the only label that rule can assign
 RULE_LABELS = {

@@ -5,7 +5,7 @@ generators under componentwise divisibility.  The antichain of minimal
 generators of a monomial ideal is unique, so ideals compare by structural
 equality after minimalization.  Supported operations are the ones the
 Rees-algebra checks reduce to: sums, products, powers, colon ideals,
-membership, colength and multiplicity of m-primary ideals, plus a
+containment, colength and multiplicity of m-primary ideals, plus a
 brute-force colon kept as an independent oracle and a reader/writer for a
 plain-text ideal file format.
 
@@ -47,20 +47,22 @@ Key choices:
   multiply, add and compare such ideals: powers of m, J = m^(ell-1) and
   principal ideals.
   Intersections and colons form each pair as one ``tuple(map(...))`` (max,
-  or the difference clipped at 0).  From 2 048 pairs on, while
-  base**(packed coordinates) < 2**62 and numpy is already loaded, numpy
-  adds the packed int64s, drops repeats and unpacks with divmod (it wins
-  from about 64 pairs, 2-6x from 144 pairs in dims 2-5).  A product never
-  imports numpy: Python's sums cost 0.05-0.17 us a pair and numpy saves at
-  most 0.15 us of them, so the import pays only in a process that loads
-  numpy anyway: m^22 * m^16 in dim 4, 2 228 700 pairs, takes 85 ms in
-  Python against 12 ms in numpy plus 50 ms to import it (2-CPU Linux VM,
-  Python 3.11, numpy 2.4).  numpy drops repeats by marking each sum in a
-  boolean array of base**(packed coordinates) cells and reading the marks
-  back with ``np.flatnonzero``, while those cells are no more than the
-  pairs, the rule ``_sumset`` keeps below; past it, by a sort.  On
-  m^12 * m^4 in dim 5 (127 400 pairs, 83 521 cells) the marks take 0.3 ms
-  against 1.7 ms for the sort;
+  or the difference clipped at 0).  From 2 048 pairs on, while the
+  base**(packed coordinates) cells are no more than the pairs, the rule
+  ``_sumset`` keeps below, and numpy is already loaded, numpy adds the
+  packed int64s, marks each sum in a boolean array of those cells, reads
+  the marks back with ``np.flatnonzero`` and unpacks with divmod (it wins
+  from about 64 pairs, 2-6x from 144 pairs in dims 2-5).  Every packed
+  sum is below the cells, so below the pair budget, and fits int64.  A
+  product never imports numpy: Python's sums cost 0.05-0.17 us a pair and
+  numpy saves at most 0.15 us of them, so the import pays only in a
+  process that loads numpy anyway: m^22 * m^16 in dim 4, 2 228 700 pairs,
+  takes 85 ms in Python against 12 ms in numpy plus 50 ms to import it
+  (2-CPU Linux VM, Python 3.11, numpy 2.4).  Sparser products, with more
+  cells than pairs, add in Python, and no verb or benchmark forms one:
+  their sums take 1.2-5.5 ms, 2-4x a numpy sort of them, next to
+  13-110 ms for the antichain of the mixed-degree result (dims 3-5,
+  22 184 to 103 024 pairs);
 * in two variables a one-degree ideal of degree D is its set of
   x-exponents (each y is D - x), so a product of two such ideals is the
   sumset of those sets.  From 48 pairs on it is one int per factor, with
@@ -163,11 +165,6 @@ class Monomial:
                 raise ValueError(f"negative exponent in {exps}")
 
     @classmethod
-    def unit(cls, dim: int) -> "Monomial":
-        check_int("dim", dim, 1)
-        return cls((0,) * dim)
-
-    @classmethod
     def variable(cls, dim: int, index: int, power: int = 1) -> "Monomial":
         check_int("dim", dim, 1)
         check_int("index", index, 0)
@@ -188,14 +185,6 @@ class Monomial:
     @property
     def is_unit(self) -> bool:
         return self.degree == 0
-
-    def divides(self, other: "Monomial") -> bool:
-        check_equal("dimension", self.dim, other.dim)
-        return all(map(operator.le, self.exponents, other.exponents))
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        check_equal("dimension", self.dim, other.dim)
-        return Monomial(tuple(map(operator.add, self.exponents, other.exponents)))
 
     def as_list(self) -> list[int]:
         return list(self.exponents)
@@ -232,12 +221,11 @@ def _distinct_sums(
     first dim-1 coordinates are packed, each sum's last one is degree minus
     the rest, and the sums come back in canonical order, which for one
     degree is lexicographically descending, so packed ints descending.
-    From _SUM_NUMPY_PAIRS pairs on, if numpy is already loaded, and while
-    every packed sum fits int64 (all are below cells = base**(packed
-    coordinates)), numpy forms them in one array.  While cells <= pairs it
-    marks each sum in a boolean array of cells entries and reads the marks
-    back ascending; past that it sorts the sums in place and keeps each
-    first occurrence.  In dim 2 with degree given, _sumset is tried before
+    From _SUM_NUMPY_PAIRS pairs on, while cells = base**(packed
+    coordinates) <= pairs, and if numpy is already loaded, numpy forms the
+    sums in one array, marks each in a boolean array of cells entries and
+    reads the marks back ascending.  Every packed sum is below cells, so
+    it fits int64.  In dim 2 with degree given, _sumset is tried before
     any packing.
     """
     pairs = len(a) * len(b)
@@ -253,20 +241,16 @@ def _distinct_sums(
     packed = dim if degree is None else dim - 1
     weights = [base**k for k in range(packed - 1, -1, -1)]
     cells = base**packed
-    vectorized = pairs >= _SUM_NUMPY_PAIRS and "numpy" in sys.modules and cells < 2**62
+    vectorized = pairs >= _SUM_NUMPY_PAIRS and cells <= pairs and "numpy" in sys.modules
     cols = []  # one column per packed coordinate, the least significant first
     if vectorized:
         import numpy as np
 
         w = np.array(weights, dtype=np.int64)
         v = np.add.outer(_int64_rows(a, dim)[:, :packed] @ w, _int64_rows(b, dim)[:, :packed] @ w).reshape(-1)
-        if cells <= pairs:  # the marks take no more room than the sums
-            marks = np.zeros(cells, dtype=bool)
-            marks[v] = True
-            v = np.flatnonzero(marks)
-        else:
-            v.sort()
-            v = v[np.concatenate(([True], v[1:] != v[:-1]))]
+        marks = np.zeros(cells, dtype=bool)
+        marks[v] = True
+        v = np.flatnonzero(marks)
         if degree is not None:
             v = v[::-1]
         for _ in range(packed - 1):
@@ -543,13 +527,6 @@ class MonomialIdeal:
             return i > 0 and ys[i - 1] <= e[1]
         le = operator.le
         return any(all(map(le, g, e)) for g in self._exps)
-
-    def member(self, mono: Monomial) -> bool:
-        check_equal("dimension", mono.dim, self.dim)
-        return self._has(mono.exponents)
-
-    def __contains__(self, mono: Monomial) -> bool:
-        return self.member(mono)
 
     def contains(self, other: "MonomialIdeal") -> bool:
         """Ideal containment other subset-of self.

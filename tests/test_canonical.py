@@ -1,17 +1,18 @@
-"""Canonical ladder numbers: generator counts, Ulrich data, obstruction."""
+"""Canonical ladder numbers: generator counts, components, obstruction."""
 
 import pytest
 
 from oracles import agl_inequality, count_exponent_vectors, rees_cone_counts
 from reesag import Monomial, MonomialIdeal, ineq_sides, ladder, maximal_power
 from reesag.binomials import b_of
-from reesag.canonical import (
-    Obstruction,
-    UlrichNumbers,
-    ladder_report,
-    notgraded_obstruction,
-    ulrich_numbers,
-)
+from reesag.canonical import Obstruction, ladder_report, notgraded_obstruction
+
+
+def component(lad, ell: int, n: int) -> MonomialIdeal:
+    """The ladder's degree-n component from its own b and tail exponent e:
+    the unit ideal in degrees 1 .. b, then m^(e + (n-b-1)*ell)."""
+    k = 0 if n <= lad.b else lad.tail_exponent + (n - lad.b - 1) * ell
+    return maximal_power(lad.d, k)
 
 
 def ladder_cross_check(d: int, ell: int, n_max: int) -> bool:
@@ -31,7 +32,7 @@ def ladder_cross_check(d: int, ell: int, n_max: int) -> bool:
     current = pure.colon(power_ell)
     lad = ladder(2, ell)
     for n in range(1, n_max + 1):
-        if lad.component(n) != current:
+        if component(lad, ell, n) != current:
             return False
         current = current * power_ell
     return True
@@ -39,7 +40,7 @@ def ladder_cross_check(d: int, ell: int, n_max: int) -> bool:
 
 def test_ladder_fields():
     lad = ladder(5, 2)
-    assert (lad.d, lad.ell, lad.b, lad.tail_exponent) == (5, 2, 1, 0)
+    assert (lad.d, lad.sides.ell, lad.b, lad.tail_exponent) == (5, 2, 1, 0)
     assert lad.a_invariant == -1
     assert lad.unit_tail
     lad = ladder(4, 2)
@@ -49,7 +50,7 @@ def test_ladder_fields():
     for d, ell in ((5, 2), (4, 2), (2, 3), (9, 4), (40, 7)):
         lad = ladder(d, ell)
         s = lad.sides
-        assert (lad.d, lad.ell, lad.b, lad.tail_exponent) == (s.d, s.ell, s.b, s.tail_exponent)
+        assert (lad.d, lad.b, lad.tail_exponent) == (s.d, s.b, s.tail_exponent)
         assert (s.d, s.ell) == (d, ell)
         assert lad == (s, -1)
         with pytest.raises(AttributeError):
@@ -60,16 +61,14 @@ def test_ladder_fields():
 
 def test_ladder_component_exponents():
     lad = ladder(6, 2)  # b = 2, tail exponent 1
-    assert lad.b == 2
-    assert [lad.component_exponent(n) for n in range(1, 6)] == [0, 0, 1, 3, 5]
-    with pytest.raises(ValueError):
-        lad.component_exponent(0)
+    assert (lad.b, lad.tail_exponent) == (2, 1)
+    assert [component(lad, 2, n) for n in range(1, 6)] == [maximal_power(6, k) for k in (0, 0, 1, 3, 5)]
 
 
 def test_ladder_components_are_power_ideals():
     lad = ladder(4, 3)
-    assert lad.component(1) == maximal_power(4, 0)
-    assert lad.component(2) == maximal_power(4, 3)
+    assert component(lad, 3, 1) == maximal_power(4, 0)
+    assert component(lad, 3, 2) == maximal_power(4, 3)
 
 
 @pytest.mark.parametrize("ell", range(1, 8))
@@ -77,7 +76,7 @@ def test_dimension_two_ladder(ell):
     lad = ladder(2, ell)
     assert lad.b == 0 and lad.tail_exponent == ell - 1
     for n in range(1, 5):
-        assert lad.component_exponent(n) == n * ell - 1
+        assert component(lad, ell, n) == maximal_power(2, n * ell - 1)
 
 
 def test_unit_tail_iff_divisor():
@@ -129,8 +128,8 @@ def test_rees_cone_oracle_matches_every_ladder_number(d, ell):
     # degree b+2, so the last degree must add none
     lad = ladder(d, ell)
     components, cone_mu_K, cone_mu_MK = rees_cone_counts(d, ell, lad.b + 3)
-    for n, component in enumerate(components, 1):
-        assert component == lad.component(n), n
+    for n, got in enumerate(components, 1):
+        assert got == component(lad, ell, n), n
     assert (cone_mu_K, cone_mu_MK) == (lad.mu_K, lad.mu_MK)
     assert rees_cone_counts(d, ell, lad.b + 2)[1:] == (cone_mu_K, cone_mu_MK)
     gap = cone_mu_MK - d * cone_mu_K - count_exponent_vectors(d, ell)
@@ -163,24 +162,11 @@ def test_hypothesis_rejections():
 
 
 def test_ulrich_frozen_values():
-    assert ulrich_numbers(5, 2) == UlrichNumbers(1, 1, 1)
-    assert ulrich_numbers(7, 2) == UlrichNumbers(2, 2, 2)
-    assert ulrich_numbers(5, 4) == UlrichNumbers(0, 0, 0)
-    assert ulrich_numbers(3, 1) == UlrichNumbers(1, 1, 1)
-
-
-def test_ulrich_requires_divisor():
-    with pytest.raises(ValueError):
-        ulrich_numbers(4, 2)
-    with pytest.raises(ValueError):
-        ulrich_numbers(1, 1)
-
-
-def test_ulrich_c_is_mu_K_minus_one():
-    for d in range(3, 31):
-        for ell in range(2, d):
-            if (d - 1) % ell == 0:
-                assert ulrich_numbers(d, ell).c == ladder(d, ell).mu_K - 1
+    # on a divisor cell the ladder is R t + ... + R t^(c+1), and the Ulrich
+    # cokernel C = K/R t^(b+1) is free of rank c = b = mu_K - 1
+    for (d, ell), c in {(5, 2): 1, (7, 2): 2, (5, 4): 0, (3, 1): 1}.items():
+        lad = ladder(d, ell)
+        assert lad.unit_tail and lad.mu_K - 1 == lad.b == c
 
 
 def test_obstruction_frozen_values():

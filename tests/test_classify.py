@@ -151,11 +151,9 @@ def test_cross_check_domain():
 
 
 def test_label_ordering_and_symbols():
-    assert ClassLabel.NONE < ClassLabel.ALMOST_GORENSTEIN_LOCAL_ONLY
-    assert ClassLabel.ALMOST_GORENSTEIN_LOCAL_ONLY < ClassLabel.ALMOST_GORENSTEIN_GRADED
-    assert ClassLabel.ALMOST_GORENSTEIN_GRADED < ClassLabel.GORENSTEIN_GRADED
-    assert max(ClassLabel) is ClassLabel.GORENSTEIN_GRADED
-    assert [lab.symbol for lab in sorted(ClassLabel)] == ["X", "AGL", "AG", "Gor"]
+    # declared from the strongest label down; each symbol names its label
+    assert [lab.symbol for lab in ClassLabel] == ["Gor", "AG", "AGL", "X"]
+    assert all(ClassLabel(lab.symbol) is lab for lab in ClassLabel)
     assert ClassLabel("Gor") is ClassLabel.GORENSTEIN_GRADED
 
 

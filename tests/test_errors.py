@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from reesag.binomials import b_of, ineq_gap_telescoped, ineq_sides
-from reesag.canonical import (
-    ladder,
-    ladder_report,
-    notgraded_obstruction,
-    ulrich_numbers,
-)
+from reesag.canonical import ladder, ladder_report, notgraded_obstruction
 from reesag.classify import classify, table
 from reesag.errors import check_budget, check_int
 
@@ -24,12 +19,10 @@ CLOSED_FORM = {
     # the ladder properties are the library's mu_K and mu_MK
     "mu_K": (lambda d, ell: ladder(d, ell).mu_K, ("d", "ell"), (7, 2)),
     "mu_MK": (lambda d, ell: ladder(d, ell).mu_MK, ("d", "ell"), (7, 2)),
-    "ulrich_numbers": (ulrich_numbers, ("d", "ell"), (7, 2)),
     "notgraded_obstruction": (notgraded_obstruction, ("d", "ell"), (7, 2)),
     "ladder_report": (ladder_report, ("d", "ell"), (7, 2)),
     "classify": (classify, ("d", "ell"), (7, 2)),
     "table": (table, ("d_max", "ell_max"), (4, 3)),
-    "component_exponent": (lambda n: ladder(7, 2).component_exponent(n), ("n",), (3,)),
 }
 
 BAD = {"float": float, "bool": lambda v: True, "numpy-int64": np.int64}
@@ -61,14 +54,13 @@ def test_closed_form_refuses_non_int_sizes(fn, args, name):
         (lambda: b_of(4, 0), "need ell >= 1, got 0"),
         (lambda: ineq_sides(2, 2), "need d >= 3, got 2"),
         (lambda: ineq_gap_telescoped(3, 1), "need ell >= 2, got 1"),
-        (lambda: ladder(7, 2).component_exponent(0), "need n >= 1, got 0"),
         (lambda: notgraded_obstruction(5, 1), "need ell >= 2, got 1"),
         (lambda: classify(1, 2), "need d >= 2, got 1"),
         (lambda: table(5, 0), "need ell_max >= 1, got 0"),
     ],
     ids=[
         "b_of-d", "b_of-ell", "ineq_sides-d",
-        "ineq_gap_telescoped-ell", "component_exponent-n", "notgraded_obstruction-ell",
+        "ineq_gap_telescoped-ell", "notgraded_obstruction-ell",
         "classify-d", "table-ell_max",
     ],
 )
@@ -78,8 +70,8 @@ def test_closed_form_range_messages(call, message):
 
 
 def test_closed_form_domain_checks_keep_their_messages():
-    with pytest.raises(ValueError, match="^ulrich_numbers needs ell \\| d-1"):
-        ulrich_numbers(7, 4)
+    with pytest.raises(ValueError, match="^notgraded_obstruction needs ell \\| d-1"):
+        notgraded_obstruction(7, 4)
     with pytest.raises(ValueError, match="^ell = d-1 is the Gorenstein diagonal"):
         notgraded_obstruction(3, 2)
 
