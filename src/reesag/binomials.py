@@ -101,8 +101,9 @@ class IneqSides(NamedTuple):
     mu_tail = mu(m^e) and gap = lhs - rhs.  gap >= 0 always, with equality
     exactly when ell divides d - 1, but that is a theorem about the values,
     not a constructor invariant: callers that hunt for counterexamples must
-    be able to see a negative gap.  A NamedTuple, so it also equals the plain
-    tuple of its fields.
+    be able to see a negative gap.  The properties mu_K and mu_MK count the
+    generators of the canonical module K and of MK.  A NamedTuple, so it also
+    equals the plain tuple of its fields.
     """
 
     d: int
@@ -114,6 +115,20 @@ class IneqSides(NamedTuple):
     rhs: int
     gap: int
     mu_tail: int
+
+    @property
+    def mu_K(self) -> int:
+        """Minimal generators of the canonical module: b + mu(m^e), e the tail exponent."""
+        return self.b + self.mu_tail
+
+    @property
+    def mu_MK(self) -> int:
+        """Minimal generators of MK, M the graded maximal ideal.
+
+        MK is generated by m in degrees 1 .. b, m^(e+1) in degree b+1 and
+        m^(e+ell) in degree b+2: b*d + mu(m^(e+1)) + mu(m^(e+ell)).
+        """
+        return self.b * self.d + self.lhs
 
 
 def ineq_sides(d: int, ell: int) -> IneqSides:

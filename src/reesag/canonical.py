@@ -4,14 +4,14 @@ For a d-dimensional regular local ring the graded canonical module of
 R(m^ell) is a ladder: the unit ideal in degrees 1 .. b and m^(n*ell-d+1)
 in degrees n >= b+1, where b = floor((d-2)/ell).  The a-invariant is -1.
 Everything this package needs downstream is a function of b and the tail
-exponent e = (b+1)*ell - d + 1: the generator counts of K and MK, the
-inequality deciding almost Gorensteinness, and the multiplicity
-obstruction that rules out the graded property for proper divisors.  A
-ladder holds nothing but the IneqSides of the binomials kernel, which
-derives b, e and the counts behind mu_K and mu_MK, and the a-invariant;
-its d, b and e are read off those sides.
-Its records are NamedTuples.  Each entry point refuses a cell past the
-binomials bit budget before any math.comb.
+exponent e = (b+1)*ell - d + 1, the exponent of the degree-(b+1)
+component m^e: the generator counts of K and MK, the inequality deciding
+almost Gorensteinness, and the multiplicity obstruction that rules out the
+graded property for proper divisors.  ladder returns the IneqSides of the
+binomials kernel as it is: it holds b, e and the counts, and reads mu_K
+and mu_MK off them.  Only the obstruction, ell^d, is built here, as an
+Obstruction NamedTuple.  Each entry point refuses a cell past the binomials
+bit budget before any math.comb.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .binomials import IneqSides, _b, _check_cell_bits, _sides, ineq_sides
 from .errors import InvariantBreach, check_int
 
 __all__ = [
-    "CanonicalLadder",
     "Obstruction",
     "ladder",
     "notgraded_obstruction",
@@ -30,60 +29,17 @@ __all__ = [
 ]
 
 
-class CanonicalLadder(NamedTuple):
-    """Closed form of the ladder: unit ideal up to b, powers of m after.
-
-    sides holds every number of the cell; d, b and tail_exponent read it.
-    tail_exponent is the exponent e with J = m^e in degree b+1; the
-    degree-n component for n > b+1 is m^(e + (n-b-1)*ell) = m^(n*ell-d+1).
-    A NamedTuple, so it also equals the plain tuple (sides, a_invariant).
-    """
-
-    sides: IneqSides
-    a_invariant: int = -1
-
-    @property
-    def d(self) -> int:
-        return self.sides.d
-
-    @property
-    def b(self) -> int:
-        return self.sides.b
-
-    @property
-    def tail_exponent(self) -> int:
-        return self.sides.tail_exponent
-
-    @property
-    def unit_tail(self) -> bool:
-        return self.tail_exponent == 0
-
-    @property
-    def mu_K(self) -> int:
-        """Minimal generators of the canonical module: b + mu(m^e), e the tail exponent."""
-        return self.b + self.sides.mu_tail
-
-    @property
-    def mu_MK(self) -> int:
-        """Minimal generators of MK, M the graded maximal ideal.
-
-        MK is generated by m in degrees 1 .. b, m^(e+1) in degree b+1 and
-        m^(e+ell) in degree b+2: b*d + mu(m^(e+1)) + mu(m^(e+ell)).
-        """
-        return self.b * self.d + self.sides.lhs
-
-
 class Obstruction(NamedTuple):
     mu_bound: int
     e_bound: int
 
 
-def ladder(d: int, ell: int) -> CanonicalLadder:
-    """The canonical ladder of R(m^ell); needs d >= 2, ell >= 1."""
+def ladder(d: int, ell: int) -> IneqSides:
+    """The canonical ladder of R(m^ell), as its IneqSides; needs d >= 2, ell >= 1."""
     check_int("d", d, 2)
     check_int("ell", ell, 1)
     _check_cell_bits(d, ell)
-    return CanonicalLadder(_sides(d, ell))
+    return _sides(d, ell)
 
 
 def notgraded_obstruction(d: int, ell: int) -> Obstruction:
@@ -116,17 +72,17 @@ def _obstruction(d: int, ell: int) -> Obstruction:
 
 def ladder_report(d: int, ell: int) -> dict:
     """Serializable summary of the ladder numbers for one (d, ell); d >= 3, ell >= 2."""
-    lad = CanonicalLadder(ineq_sides(d, ell))
+    sides = ineq_sides(d, ell)
     report = {
         "d": d,
         "ell": ell,
-        "b": lad.b,
-        "tail_exponent": lad.tail_exponent,
-        "a_invariant": lad.a_invariant,
-        "mu_K": lad.mu_K,
-        "mu_MK": lad.mu_MK,
-        "gap": lad.sides.gap,
+        "b": sides.b,
+        "tail_exponent": sides.tail_exponent,
+        "a_invariant": -1,
+        "mu_K": sides.mu_K,
+        "mu_MK": sides.mu_MK,
+        "gap": sides.gap,
     }
-    if lad.unit_tail and ell != d - 1:
+    if sides.tail_exponent == 0 and ell != d - 1:
         report["obstruction"] = notgraded_obstruction(d, ell)._asdict()
     return report

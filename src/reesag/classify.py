@@ -18,7 +18,11 @@ classify reads them off the public ladder, and table off binomials._cell.
 Each rule that rests on a fact about those numbers checks it: gap > 0 on
 gap-positive, gap = 0 on divisor-local-only and mu_K = 1 on the Gorenstein
 diagonal; a fact that fails is an InvariantBreach.  Evidence is a
-NamedTuple, the cheapest immutable record to build once per cell.
+NamedTuple, the cheapest immutable record to build once per cell.  It
+does not store a divisor cell's obstruction bound ell^d, which follows
+from its d and ell: the property Evidence.obstruction builds it on each
+read, so a table builds only the bounds the JSON renderer prints, and
+builds none for csv or ascii.
 Within one table() call each d reads its generator counts off one row,
 mu(m^k) for k < 2*ell_max, built for that call and dropped with it, and
 builds nothing per cell but its Evidence; the row's cell (d, ell_max) is
@@ -79,8 +83,8 @@ class Evidence(NamedTuple):
     """Numeric support for one cell.
 
     gap is present only where the inequality is defined (d >= 3 and
-    ell >= 2); obstruction only for the divisor-local-only rule.  A
-    NamedTuple, so it also equals the plain tuple of its fields.
+    ell >= 2).  A NamedTuple, so it also equals the plain tuple of its
+    fields.
     """
 
     d: int
@@ -89,21 +93,26 @@ class Evidence(NamedTuple):
     mu_K: int
     rule: str
     gap: int | None = None
-    obstruction: Obstruction | None = None
+
+    @property
+    def obstruction(self) -> Obstruction | None:
+        """The bound (b, ell^d) on the divisor-local-only rule, None on every other; built on each read."""
+        return _obstruction(self.d, self.ell) if self.rule == "divisor-local-only" else None
 
     def as_dict(self) -> dict:
         out = {"b": self.b, "mu_K": self.mu_K, "rule": self.rule}
         if self.gap is not None:
             out["gap"] = self.gap
-        if self.obstruction is not None:
-            out["obstruction"] = self.obstruction._asdict()
+        obstruction = self.obstruction
+        if obstruction is not None:
+            out["obstruction"] = obstruction._asdict()
         return out
 
 
 def classify(d: int, ell: int) -> tuple[ClassLabel, Evidence]:
     """Label one pair (d >= 2, ell >= 1, which ladder checks) with recomputed evidence."""
     lad = ladder(d, ell)
-    return _label(d, ell, lad.b, lad.tail_exponent, lad.sides.gap, lad.sides.mu_tail)
+    return _label(d, ell, lad.b, lad.tail_exponent, lad.gap, lad.mu_tail)
 
 
 def _label(d: int, ell: int, b: int, e: int, gap: int, mu_tail: int) -> tuple[ClassLabel, Evidence]:
@@ -111,7 +120,6 @@ def _label(d: int, ell: int, b: int, e: int, gap: int, mu_tail: int) -> tuple[Cl
     a rule that rests on a fact about them raises InvariantBreach unless it holds."""
     # mu_K = b + mu(m^e) makes sense for d = 2 and ell = 1 as well; the gap does not
     mu_K = b + mu_tail
-    obstruction = None
     if ell == d - 1:
         rule = "gorenstein-diagonal"
         if mu_K != 1:
@@ -124,13 +132,11 @@ def _label(d: int, ell: int, b: int, e: int, gap: int, mu_tail: int) -> tuple[Cl
         rule = "divisor-local-only"
         if gap != 0:
             raise InvariantBreach(f"divisor-local-only needs gap = 0, got {gap} at d={d}, ell={ell}")
-        obstruction = _obstruction(d, ell)
     else:
         rule = "gap-positive"
         if gap <= 0:
             raise InvariantBreach(f"gap-positive needs gap > 0, got {gap} at d={d}, ell={ell}")
-    evidence = Evidence(d=d, ell=ell, b=b, mu_K=mu_K, rule=rule,
-                        gap=gap if (d >= 3 and ell >= 2) else None, obstruction=obstruction)
+    evidence = Evidence(d=d, ell=ell, b=b, mu_K=mu_K, rule=rule, gap=gap if (d >= 3 and ell >= 2) else None)
     return RULE_LABELS[rule], evidence
 
 

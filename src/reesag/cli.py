@@ -46,9 +46,7 @@ def _emit_json(payload) -> None:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    d_max = args.dmax if args.dmax is not None else args.dmax_pos
-    ell_max = args.lmax if args.lmax is not None else args.lmax_pos
-    grid = table(d_max, ell_max)
+    grid = table(args.dmax, args.lmax)
     if args.format == "ascii":
         _emit(render_ascii(grid))
     elif args.format == "json":
@@ -113,10 +111,7 @@ def cmd_lemma_ineq(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    d = args.d if args.d is not None else args.d_pos
-    ell = args.ell if args.ell is not None else args.ell_pos
-    if d is None or ell is None:
-        raise ValueError("classify needs d and ell, positional or via --d/--ell")
+    d, ell = args.d, args.ell
     label, evidence = classify(d, ell)
     if args.format == "json":
         _emit_json(
@@ -130,10 +125,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
         ]
         if evidence.gap is not None:
             lines.append(f"  inequality gap = {evidence.gap}")
-        if evidence.obstruction is not None:
+        obstruction = evidence.obstruction
+        if obstruction is not None:
             lines.append(
-                f"  graded obstruction: mu(C) <= {evidence.obstruction.mu_bound} "
-                f"but e(C) >= {evidence.obstruction.e_bound}"
+                f"  graded obstruction: mu(C) <= {obstruction.mu_bound} but e(C) >= {obstruction.e_bound}"
             )
         _emit("\n".join(lines))
     return 0
@@ -162,8 +157,6 @@ def cmd_good_check(args: argparse.Namespace) -> int:
 
 
 def cmd_certificate(args: argparse.Namespace) -> int:
-    if args.dim != 2:
-        raise ValueError(f"certificate is defined for --dim 2 only, got {args.dim}")
     cert = build_certificate_2dim(args.ell)
     containment = verify_claim_containment(cert, args.nmax)
     payload = cert.as_dict()
@@ -265,10 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", help="classification table over a (d, ell) grid")
-    p.add_argument("dmax_pos", nargs="?", type=int, default=10, metavar="DMAX")
-    p.add_argument("lmax_pos", nargs="?", type=int, default=9, metavar="LMAX")
-    p.add_argument("--dmax", type=int, default=None, help="largest dimension (>= 2)")
-    p.add_argument("--lmax", type=int, default=None, help="largest power (>= 1)")
+    p.add_argument("dmax", nargs="?", type=int, default=10, metavar="DMAX", help="largest dimension (>= 2)")
+    p.add_argument("lmax", nargs="?", type=int, default=9, metavar="LMAX", help="largest power (>= 1)")
     p.add_argument("--format", choices=["ascii", "json", "csv"], default="ascii")
     p.set_defaults(func=cmd_table)
 
@@ -280,10 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lemma_ineq)
 
     p = sub.add_parser("classify", help="label one (d, ell) pair with evidence")
-    p.add_argument("d_pos", nargs="?", type=int, default=None, metavar="D")
-    p.add_argument("ell_pos", nargs="?", type=int, default=None, metavar="ELL")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--ell", type=int, default=None)
+    p.add_argument("d", type=int, metavar="D")
+    p.add_argument("ell", type=int, metavar="ELL")
     p.add_argument("--format", choices=["ascii", "json"], default="json")
     p.set_defaults(func=cmd_classify)
 
@@ -296,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certificate", help="the (f, g, h) certificate for m^ell at d = 2")
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--dim", type=int, default=2)
     p.add_argument("--nmax", type=int, default=5, help="containment degree bound")
     p.add_argument("--format", choices=["ascii", "json"], default="json")
     p.set_defaults(func=cmd_certificate)

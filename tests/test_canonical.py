@@ -4,7 +4,7 @@ import pytest
 
 from oracles import agl_inequality, count_exponent_vectors, rees_cone_counts
 from reesag import Monomial, MonomialIdeal, ineq_sides, ladder, maximal_power
-from reesag.binomials import b_of
+from reesag.binomials import IneqSides, b_of
 from reesag.canonical import Obstruction, ladder_report, notgraded_obstruction
 
 
@@ -40,21 +40,14 @@ def ladder_cross_check(d: int, ell: int, n_max: int) -> bool:
 
 def test_ladder_fields():
     lad = ladder(5, 2)
-    assert (lad.d, lad.sides.ell, lad.b, lad.tail_exponent) == (5, 2, 1, 0)
-    assert lad.a_invariant == -1
-    assert lad.unit_tail
+    assert (lad.d, lad.ell, lad.b, lad.tail_exponent) == (5, 2, 1, 0)
     lad = ladder(4, 2)
     assert (lad.b, lad.tail_exponent) == (1, 1)
-    assert not lad.unit_tail
-    # the ladder keeps only its sides; every number is read off them
+    # the ladder is the kernel's record, with no second record around it
     for d, ell in ((5, 2), (4, 2), (2, 3), (9, 4), (40, 7)):
         lad = ladder(d, ell)
-        s = lad.sides
-        assert (lad.d, lad.b, lad.tail_exponent) == (s.d, s.b, s.tail_exponent)
-        assert (s.d, s.ell) == (d, ell)
-        assert lad == (s, -1)
-        with pytest.raises(AttributeError):
-            lad.sides = s
+        assert type(lad) is IneqSides
+        assert (lad.d, lad.ell) == (d, ell)
         with pytest.raises(AttributeError):
             lad.b = 0
 
@@ -82,7 +75,7 @@ def test_dimension_two_ladder(ell):
 def test_unit_tail_iff_divisor():
     for d in range(2, 25):
         for ell in range(1, 12):
-            assert ladder(d, ell).unit_tail == ((d - 1) % ell == 0)
+            assert (ladder(d, ell).tail_exponent == 0) == ((d - 1) % ell == 0)
 
 
 def test_tail_exponent_complements_inequality_index():
@@ -133,7 +126,7 @@ def test_rees_cone_oracle_matches_every_ladder_number(d, ell):
     assert (cone_mu_K, cone_mu_MK) == (lad.mu_K, lad.mu_MK)
     assert rees_cone_counts(d, ell, lad.b + 2)[1:] == (cone_mu_K, cone_mu_MK)
     gap = cone_mu_MK - d * cone_mu_K - count_exponent_vectors(d, ell)
-    assert gap == lad.sides.gap == ineq_sides(d, ell).gap == ladder_report(d, ell)["gap"]
+    assert gap == lad.gap == ineq_sides(d, ell).gap == ladder_report(d, ell)["gap"]
 
 
 def test_mu_K_is_one_on_diagonal():
@@ -166,7 +159,7 @@ def test_ulrich_frozen_values():
     # cokernel C = K/R t^(b+1) is free of rank c = b = mu_K - 1
     for (d, ell), c in {(5, 2): 1, (7, 2): 2, (5, 4): 0, (3, 1): 1}.items():
         lad = ladder(d, ell)
-        assert lad.unit_tail and lad.mu_K - 1 == lad.b == c
+        assert lad.tail_exponent == 0 and lad.mu_K - 1 == lad.b == c
 
 
 def test_obstruction_frozen_values():

@@ -238,7 +238,7 @@ def test_each_rule_checks_its_fact(monkeypatch, rule):
 
 
 def test_classify_checks_a_divisor_cell_once(monkeypatch):
-    # (7, 3) is a divisor cell off the diagonal, so classify also builds its obstruction
+    # (7, 3) is a divisor cell off the diagonal: reading its obstruction builds the bound, with no second bit check
     cells = []
     check = binomials._check_cell_bits
     for module in (binomials, canonical):
@@ -325,12 +325,24 @@ def test_table_reads_binom_once_per_row_not_once_per_cell(monkeypatch):
 
 def test_table_builds_ladders_only_for_the_checked_cells(monkeypatch):
     built = []
-    for module, name in ((binomials, "IneqSides"), (canonical, "CanonicalLadder")):
-        cls = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, cls=cls, **k: built.append(cls.__name__) or cls(*a, **k))
+    cls = binomials.IneqSides
+    monkeypatch.setattr(binomials, "IneqSides", lambda *a, **k: built.append(cls.__name__) or cls(*a, **k))
     table(40, 20)
     # the cell (d, 20) that classify re-derives for each d, and no other
-    assert sorted(built) == ["CanonicalLadder"] * 39 + ["IneqSides"] * 39
+    assert built == ["IneqSides"] * 39
+
+
+def test_table_builds_obstruction_bounds_only_where_printed(monkeypatch):
+    built = []
+    obstruction = canonical._obstruction
+    monkeypatch.setattr(classify_module, "_obstruction", lambda d, ell: built.append((d, ell)) or obstruction(d, ell))
+    grid = table(60, 30)
+    render_csv(grid)
+    render_ascii(grid)
+    assert built == []
+    render_json(grid)
+    # one bound per divisor cell off the diagonal, each ell^d built once, in the rendered order
+    assert built == [(d, ell) for d in range(3, 61) for ell in range(2, min(d - 1, 31)) if (d - 1) % ell == 0]
 
 
 @pytest.mark.parametrize(

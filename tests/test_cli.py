@@ -67,13 +67,6 @@ def test_table_csv_equals_golden(capsys):
     assert out == GOLDEN.read_text()
 
 
-def test_table_positionals_match_flags(capsys):
-    _, pos_out, _ = run_cli(capsys, "table", "5", "4", "--format", "csv")
-    _, flag_out, _ = run_cli(capsys, "table", "--dmax", "5", "--lmax", "4", "--format", "csv")
-    assert pos_out == flag_out
-    assert len(pos_out.splitlines()) == 1 + 4 * 4
-
-
 def test_table_rejects_degenerate_grid(capsys):
     code, out, err = run_cli(capsys, "table", "1", "1")
     assert code == 2 and out == "" and "error:" in err
@@ -152,12 +145,6 @@ def test_classify_json_schema(capsys):
     assert payload["evidence"]["obstruction"] == {"mu_bound": 1, "e_bound": 32}
 
 
-def test_classify_positional_and_flag_forms_agree(capsys):
-    _, pos_out, _ = run_cli(capsys, "classify", "4", "2")
-    _, flag_out, _ = run_cli(capsys, "classify", "--d", "4", "--ell", "2")
-    assert pos_out == flag_out
-
-
 def test_classify_ascii(capsys):
     code, out, _ = run_cli(capsys, "classify", "4", "3", "--format", "ascii")
     assert code == 0
@@ -217,7 +204,18 @@ def test_classify_ascii_emits_integers_of_any_size(capsys):
 
 def test_classify_requires_arguments(capsys):
     code, _, err = run_cli(capsys, "classify")
-    assert code == 2 and "needs d and ell" in err
+    assert code == 2 and "the following arguments are required: D, ELL" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(("table", "--dmax", "5"), "--dmax"), (("table", "--lmax", "4"), "--lmax"),
+     (("classify", "4", "2", "--d", "4"), "--d"), (("classify", "4", "2", "--ell", "2"), "--ell")],
+    ids=["table-dmax", "table-lmax", "classify-d", "classify-ell"],
+)
+def test_grid_and_cell_sizes_are_positional_only(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and f"unrecognized arguments: {flag}" in err
 
 
 def test_classify_rejects_bad_domain(capsys):
@@ -333,8 +331,9 @@ def test_certificate_ascii(capsys):
 def test_certificate_rejects_parameter_case_and_wrong_dim(capsys):
     code, _, err = run_cli(capsys, "certificate", "--ell", "1")
     assert code == 2 and "parameter ideal" in err
+    # certificate takes no --dim: d = 2 is its only case
     code, _, err = run_cli(capsys, "certificate", "--ell", "3", "--dim", "3")
-    assert code == 2 and "--dim 2" in err
+    assert code == 2 and "unrecognized arguments: --dim 3" in err
 
 
 # -- veronese -----------------------------------------------------------------
