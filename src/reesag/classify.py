@@ -24,9 +24,10 @@ from its d and ell: the property Evidence.obstruction builds it on each
 read, so a table builds only the bounds the JSON renderer prints, and
 builds none for csv or ascii.
 Within one table() call each d reads its generator counts off one row,
-mu(m^k) for k < 2*ell_max, built for that call and dropped with it, and
-builds nothing per cell but its Evidence; the row's cell (d, ell_max) is
-classified again from binom, and any difference is an InvariantBreach.
+mu(m^k) for k < 2*ell_max, the running sum of the row of d-1, built for
+that call and dropped with it, and builds nothing per cell but its
+Evidence; the row's cell (d, ell_max) is classified again from binom, and
+any difference is an InvariantBreach.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import io
 import json
 from typing import NamedTuple
 
-from .binomials import _cell, _check_grid_bits, _mu_row
+from .binomials import _cell, _check_grid_bits, _mu_rows
 from .canonical import Obstruction, _obstruction, ladder
 from .errors import InvariantBreach, check_budget, check_int
 
@@ -136,15 +137,15 @@ def _label(d: int, ell: int, b: int, e: int, gap: int, mu_tail: int) -> tuple[Cl
         rule = "gap-positive"
         if gap <= 0:
             raise InvariantBreach(f"gap-positive needs gap > 0, got {gap} at d={d}, ell={ell}")
-    evidence = Evidence(d=d, ell=ell, b=b, mu_K=mu_K, rule=rule, gap=gap if (d >= 3 and ell >= 2) else None)
-    return RULE_LABELS[rule], evidence
+    # positional: an Evidence built by keyword costs about twice as much
+    return RULE_LABELS[rule], Evidence(d, ell, b, mu_K, rule, gap if (d >= 3 and ell >= 2) else None)
 
 
 def table(d_max: int, ell_max: int) -> dict[tuple[int, int], tuple[ClassLabel, Evidence]]:
     """Full grid for 2 <= d <= d_max, 1 <= ell <= ell_max; refuses past _TABLE_CELL_CAP cells
     and, checked once for the largest cell (d_max, ell_max), past the bit budget.
 
-    Each d reads the counts of all its cells off one _mu_row, and labels
+    Each d reads the counts of all its cells off its row from _mu_rows, and labels
     each cell from _cell's ints, building only its Evidence.  Its cell
     (d, ell_max) is checked against classify, whose counts come from binom.
     """
@@ -153,8 +154,7 @@ def table(d_max: int, ell_max: int) -> dict[tuple[int, int], tuple[ClassLabel, E
     check_budget("table cells", (d_max - 1) * ell_max, _TABLE_CELL_CAP)
     _check_grid_bits(d_max, ell_max)
     grid = {}
-    for d in range(2, d_max + 1):
-        row = _mu_row(d, 2 * ell_max - 1)
+    for d, row in _mu_rows(2, d_max, 2 * ell_max - 1):
         for ell in range(1, ell_max + 1):
             b, _, e, _, _, gap, mu_tail = _cell(d, ell, row)
             grid[(d, ell)] = _label(d, ell, b, e, gap, mu_tail)

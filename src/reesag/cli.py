@@ -15,7 +15,7 @@ import json
 import sys
 from random import Random
 
-from .binomials import _cell, _check_grid_bits, _mu_row, ineq_gap_telescoped
+from .binomials import _cell, _check_grid_bits, _mu_rows, ineq_gap_telescoped
 from .certificates import build_certificate_2dim, verify_claim_containment
 from .classify import ClassLabel, classify, render_ascii, render_csv, render_json, table
 from .errors import InvariantBreach, check_int
@@ -63,10 +63,9 @@ def cmd_lemma_ineq(args: argparse.Namespace) -> int:
     cells = 0
     gaps = []
     counterexample = None
-    # the direct sides of each d come off one row of counts; the telescoped
-    # walk, from binom, checks every one of them independently
-    for d in range(3, args.dmax + 1):
-        row = _mu_row(d, 2 * args.lmax - 1)
+    # the direct sides of each d come off its row of counts from _mu_rows; the
+    # telescoped walk, from binom, checks every one of them independently
+    for d, row in _mu_rows(3, args.dmax, 2 * args.lmax - 1):
         for ell in range(2, args.lmax + 1):
             _, _, _, lhs, rhs, gap, _ = _cell(d, ell, row)
             telescoped = ineq_gap_telescoped(d, ell)

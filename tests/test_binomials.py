@@ -1,12 +1,18 @@
 """Binomial layer against the Pascal-recurrence and enumeration oracles."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import binom_pascal, count_exponent_vectors, pascal_table, telescoped_gap
 from reesag import ineq_sides
-from reesag.binomials import _cell, _mu_row, b_of, binom, ineq_gap_telescoped
+from reesag.binomials import _cell, _mu_rows, b_of, binom, ineq_gap_telescoped
+
+
+def _row(d, k_max):
+    """The row of d alone from _mu_rows."""
+    ((_, row),) = _mu_rows(d, d, k_max)
+    return row
 
 
 def test_binom_frozen_values():
@@ -46,14 +52,14 @@ def test_pascal_identity_and_symmetry():
 @pytest.mark.parametrize("k", range(0, 9))
 def test_mu_power_counts_exponent_vectors(d, k):
     # mu(m^k) = C(k+d-1, d-1), as binom and as the entry k of the row kernel
-    assert binom(k + d - 1, d - 1) == _mu_row(d, k)[k] == count_exponent_vectors(d, k)
+    assert binom(k + d - 1, d - 1) == _row(d, k)[k] == count_exponent_vectors(d, k)
 
 
 def test_mu_power_frozen():
-    assert _mu_row(3, 2)[2] == 6
-    assert _mu_row(2, 3)[3] == 4
-    assert _mu_row(4, 1)[1] == 4
-    assert _mu_row(5, 0)[0] == 1
+    assert _row(3, 2)[2] == 6
+    assert _row(2, 3)[3] == 4
+    assert _row(4, 1)[1] == 4
+    assert _row(5, 0)[0] == 1
 
 
 def test_b_of_values():
@@ -138,17 +144,29 @@ def test_telescoped_edge_cases(d, ell):
 @settings(max_examples=40)
 @given(d=st.integers(1, 5), k_max=st.integers(0, 6))
 def test_mu_row_counts_exponent_vectors(d, k_max):
-    assert _mu_row(d, k_max) == [count_exponent_vectors(d, k) for k in range(k_max + 1)]
+    assert _row(d, k_max) == [count_exponent_vectors(d, k) for k in range(k_max + 1)]
 
 
-@settings(max_examples=200)
-@given(d=st.integers(1, 60), k_max=st.integers(0, 250))
-def test_mu_row_matches_binom(d, k_max):
-    assert _mu_row(d, k_max) == [binom(k + d - 1, d - 1) for k in range(k_max + 1)]
+@settings(max_examples=100)
+@given(d_min=st.integers(1, 300), span=st.integers(0, 3), k_max=st.integers(0, 200))
+def test_mu_row_matches_binom(d_min, span, k_max):
+    # every row the prefix sums yield, up to d = 300, not only the first
+    d_max = min(d_min + span, 300)
+    rows = list(_mu_rows(d_min, d_max, k_max))
+    assert [d for d, _ in rows] == list(range(d_min, d_max + 1))
+    for d, row in rows:
+        assert row == [binom(k + d - 1, d - 1) for k in range(k_max + 1)], d
 
 
 @settings(max_examples=200)
 @given(d=st.integers(2, 300), ell=st.integers(1, 150))
+@example(d=7, ell=3)  # e = 0 off the diagonal: keys e + ell and ell coincide
+@example(d=8, ell=3)  # i = 0: keys e + 1 and ell coincide
+@example(d=5, ell=1)  # ell = 1: e = 0 and e + 1 = ell = e + ell
+@example(d=6, ell=5)  # the Gorenstein diagonal: e = 0
+@example(d=2, ell=1)
+@example(d=2, ell=4)
 def test_cell_reads_the_same_numbers_off_a_row(d, ell):
-    # 2*ell - 1 is the shortest row a table with ell_max = ell builds; an index past it would raise
-    assert _cell(d, ell, _mu_row(d, 2 * ell - 1)) == _cell(d, ell)
+    # 2*ell - 1 is the shortest row a table with ell_max = ell builds; an index past it would raise.
+    # Without a row, _cell reads the same four counts off a dict it fills from binom
+    assert _cell(d, ell, _row(d, 2 * ell - 1)) == _cell(d, ell)

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 from reesag import binomials, canonical, classify, ineq_sides
-from reesag.binomials import _mu_row
+from reesag.binomials import _mu_rows
 from reesag.canonical import ladder, notgraded_obstruction
 from reesag.classify import (
     ClassLabel,
@@ -258,12 +258,13 @@ def test_bit_budget_admits_the_largest_printed_bound():
 
 def test_cell_bit_bound_covers_every_integer_of_the_cell(monkeypatch):
     # the counts C(n, d-1) and C(n, d-2), n <= 2*ell + d - 2 and n - k <= 2*ell, that the
-    # direct and the telescoped gap read, and a divisor cell's ell^d: with the cap one below
-    # the longest of them, the cell must be refused
+    # direct and the telescoped gap read, and the ell^d of a divisor cell off the diagonal
+    # and off ell = 1: with the cap one below the longest of them, the cell must be refused
     for d in range(2, 61):
         for ell in range(1, 31):
-            ints = _mu_row(d, 2 * ell - 1) + _mu_row(d - 1, 2 * ell)
-            if (d - 1) % ell == 0:
+            (_, below), (_, at) = _mu_rows(d - 1, d, 2 * ell)
+            ints = at[: 2 * ell] + below
+            if 1 < ell < d - 1 and (d - 1) % ell == 0:
                 ints.append(ell**d)
             longest = max(x.bit_length() for x in ints)
             monkeypatch.setattr(binomials, "_CELL_BIT_CAP", longest - 1)
@@ -292,7 +293,7 @@ BIG_CELL = "integer bits of cell (1000000, 500000): 1999998 over the budget of 4
 )
 def test_closed_form_bit_budget_refuses_before_any_comb(monkeypatch, call, message):
     monkeypatch.setattr(binomials.math, "comb", lambda n, k: pytest.fail("called math.comb"))
-    monkeypatch.setattr(classify_module, "_mu_row", lambda d, k: pytest.fail("built a row"))
+    monkeypatch.setattr(classify_module, "_mu_rows", lambda *a: pytest.fail("built a row"))
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -319,8 +320,8 @@ def test_table_reads_binom_once_per_row_not_once_per_cell(monkeypatch):
     binom = binomials.binom
     monkeypatch.setattr(binomials, "binom", lambda n, m: calls.append((n, m)) or binom(n, m))
     table(40, 20)
-    # the four counts of the cell (d, 20) that classify re-derives for each d
-    assert len(calls) == 4 * 39
+    # the three binom counts of the cell (d, 20) that classify re-derives for each d
+    assert len(calls) == 3 * 39
 
 
 def test_table_builds_ladders_only_for_the_checked_cells(monkeypatch):
@@ -348,21 +349,21 @@ def test_table_builds_obstruction_bounds_only_where_printed(monkeypatch):
 @pytest.mark.parametrize(
     "corrupt, first_d",
     [
-        (lambda d, k: _mu_row(d + 1, k), 2),
+        (lambda d_min, d_max, k: ((d - 1, row) for d, row in _mu_rows(d_min + 1, d_max + 1, k)), 2),
         # mu(m^5) enters every cell (d, 5), but at d = 2 only through the gap, which is not evidence there
-        (lambda d, k: [mu + (j == 5) for j, mu in enumerate(_mu_row(d, k))], 3),
+        (lambda *a: ((d, [mu + (j == 5) for j, mu in enumerate(row)]) for d, row in _mu_rows(*a)), 3),
     ],
     ids=["wrong-dimension", "one-entry"],
 )
 def test_corrupted_row_breaks_the_table(monkeypatch, corrupt, first_d):
-    monkeypatch.setattr(classify_module, "_mu_row", corrupt)
+    monkeypatch.setattr(classify_module, "_mu_rows", corrupt)
     with pytest.raises(InvariantBreach, match=f"^table row disagrees with classify at d={first_d}, ell=5$"):
         table(6, 5)
 
 
 def test_table_budget_refuses_before_allocating(monkeypatch):
     # 1 000 values of d times 1 001 of ell: 1 001 000 cells, beyond the cap
-    monkeypatch.setattr(classify_module, "_mu_row", lambda d, k: pytest.fail("built a row"))
+    monkeypatch.setattr(classify_module, "_mu_rows", lambda *a: pytest.fail("built a row"))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="^table cells: 1001000 over the budget of 1000000$"):

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from reesag import cli, ineq_sides, maximal_power
-from reesag.binomials import _mu_row
+from reesag.binomials import _mu_rows
 from reesag.cli import main
 from reesag.monomials import parse_ideal
 
@@ -108,14 +108,14 @@ def test_lemma_ineq_row_gaps_equal_ineq_sides(capsys):
 @pytest.mark.parametrize(
     "corrupt, first_cell",
     [
-        (lambda d, k: _mu_row(d + 1, k), "d=3, ell=2"),
+        (lambda d_min, d_max, k: ((d - 1, row) for d, row in _mu_rows(d_min + 1, d_max + 1, k)), "d=3, ell=2"),
         # mu(m^5) first enters a cell at (3, 5), as mu(m^ell)
-        (lambda d, k: [mu + (j == 5) for j, mu in enumerate(_mu_row(d, k))], "d=3, ell=5"),
+        (lambda *a: ((d, [mu + (j == 5) for j, mu in enumerate(row)]) for d, row in _mu_rows(*a)), "d=3, ell=5"),
     ],
     ids=["wrong-dimension", "one-entry"],
 )
 def test_corrupted_row_breaks_lemma_ineq(capsys, monkeypatch, corrupt, first_cell):
-    monkeypatch.setattr(cli, "_mu_row", corrupt)
+    monkeypatch.setattr(cli, "_mu_rows", corrupt)
     code, out, err = run_cli(capsys, "lemma-ineq", "--dmax", "6", "--lmax", "5")
     assert code == 3 and out == ""
     assert err.startswith("internal invariant breach: telescoped sum ") and err.endswith(f" at {first_cell}\n")
@@ -249,6 +249,23 @@ def test_closed_form_bit_budget_admits_a_cheap_cell_of_large_d(capsys):
     assert (code, err) == (0, "")
     payload = json.loads(out)
     assert (payload["label"], payload["evidence"]["gap"]) == ("X", 10666746666800000)
+
+
+@pytest.mark.parametrize(
+    "d, ell, label, gap",
+    [(30000, 29999, "Gor", 0), (400001, 1, "AG", None)],
+    ids=["gorenstein-diagonal", "parameter-ideal"],
+)
+def test_closed_form_bit_budget_admits_divisor_cells_that_build_no_bound(capsys, d, ell, label, gap):
+    # ell | d-1, but ell = d-1 and ell = 1 build no ell^d; the largest integers
+    # of these cells have 59 990 and 20 bits, far below d * bits of ell
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "classify", str(d), str(ell))
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    payload = validated(out, "classify")
+    assert (payload["d"], payload["ell"], payload["label"]) == (d, ell, label)
+    assert "obstruction" not in payload["evidence"] and payload["evidence"].get("gap") == gap
 
 
 # -- good-check ---------------------------------------------------------------

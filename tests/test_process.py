@@ -143,10 +143,12 @@ def test_row_breach_exits_3_under_optimize():
         """
         import importlib, sys
         import reesag.cli as cli
-        from reesag.binomials import _mu_row
+        from reesag.binomials import _mu_rows
         if not sys.flags.optimize:
             sys.exit("this check needs python -O")
-        importlib.import_module("reesag.classify")._mu_row = lambda d, k: _mu_row(d + 1, k)
+        importlib.import_module("reesag.classify")._mu_rows = (
+            lambda d_min, d_max, k: ((d - 1, row) for d, row in _mu_rows(d_min + 1, d_max + 1, k))
+        )
         sys.exit(cli.main(["table", "10", "9"]))
         """,
         "-O",
