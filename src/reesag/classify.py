@@ -22,7 +22,9 @@ NamedTuple, the cheapest immutable record to build once per cell.  It
 does not store a divisor cell's obstruction bound ell^d, which follows
 from its d and ell: the property Evidence.obstruction builds it on each
 read, so a table builds only the bounds the JSON renderer prints, and
-builds none for csv or ascii.
+builds none for csv or ascii.  Python refuses to print an int of more
+than sys.get_int_max_str_digits() digits, so _check_json_digits refuses a
+JSON table with such a bound before the table is built.
 Within one table() call each d reads its generator counts off one row,
 mu(m^k) for k < 2*ell_max, the running sum of the row of d-1, built for
 that call and dropped with it, and builds nothing per cell but its
@@ -36,6 +38,8 @@ import csv
 import enum
 import io
 import json
+import math
+import sys
 from typing import NamedTuple
 
 from .binomials import _cell, _check_grid_bits, _mu_rows
@@ -191,6 +195,28 @@ def render_json(grid: dict[tuple[int, int], tuple[ClassLabel, Evidence]]) -> str
             {"d": d, "ell": ell, "label": label.symbol, "evidence": evidence.as_dict()}
         )
     return json.dumps(cells, indent=2) + "\n"
+
+
+def _check_json_digits(d_max: int, ell_max: int) -> None:
+    """Refuse the JSON table of d <= d_max, ell <= ell_max if an obstruction bound would not print.
+
+    Only a divisor-local-only cell (ell | d-1, 1 < ell < d-1) prints ell^d, and
+    for each ell the largest such d has the most digits.  Python refuses to
+    print an int of more than sys.get_int_max_str_digits() digits; a limit of
+    0, or a Python without one, refuses nothing.  ell^d >= 2^(d * (bits(ell) - 1)),
+    so past the limit's bits the bound refuses without being built; below
+    them it is built, at most about 28 600 bits, and compared exactly.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else 0
+    if not limit:
+        return
+    ten = 10**limit
+    for ell in range(2, min(ell_max, (d_max - 1) // 2) + 1):  # ell < d - 1 with ell | d - 1 needs d - 1 >= 2 * ell
+        d = d_max - (d_max - 1) % ell
+        if d * (ell.bit_length() - 1) >= ten.bit_length() or ell**d >= ten:
+            digits = max(limit + 1, int(d * math.log10(ell)) + 1)  # the count is a float estimate; the refusal is exact
+            check_budget(f"printed digits of the obstruction bound {ell}^{d}", digits, limit)
 
 
 def render_csv(grid: dict[tuple[int, int], tuple[ClassLabel, Evidence]]) -> str:

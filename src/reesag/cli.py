@@ -17,7 +17,7 @@ from random import Random
 
 from .binomials import _cell, _check_grid_bits, _mu_rows, ineq_gap_telescoped
 from .certificates import build_certificate_2dim, verify_claim_containment
-from .classify import ClassLabel, classify, render_ascii, render_csv, render_json, table
+from .classify import ClassLabel, _check_json_digits, classify, render_ascii, render_csv, render_json, table
 from .errors import InvariantBreach, check_int
 from .goodideals import good_report
 from .monomials import (
@@ -46,6 +46,8 @@ def _emit_json(payload) -> None:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    if args.format == "json":
+        _check_json_digits(args.dmax, args.lmax)
     grid = table(args.dmax, args.lmax)
     if args.format == "ascii":
         _emit(render_ascii(grid))

@@ -32,23 +32,21 @@ Key choices:
   antichain runs and no membership is tested.  In canonical order, one
   degree reads as the first and last generators of both having equal
   degrees, and canonical order is lexicographically descending;
-* a product below 48 generator pairs adds the exponent tuples directly,
-  where packing costs more: in dims 2-4, 4 pairs took 3-6 us so against
-  8-11 us packed, the two were even from 30 to 48 pairs, and 64 pairs took
-  20-50 % longer on tuples.  From 48 pairs on it packs each exponent tuple
-  into one int, so each pair is one int addition, and unpacks the
-  distinct sums column by column with divmod.  When both factors are
-  generated in one degree, each in a degree of its own, so is the
-  product, and by the fact above every distinct sum is a minimal
-  generator.  Then no antichain runs, a packed product packs only the
-  first d-1 coordinates and sets the last to the degree minus the others,
-  and the sums come out canonical: sorted descending, as tuples or as
-  packed ints, whose order is the tuples' order.  The paper's checks
-  multiply, add and compare such ideals: powers of m, J = m^(ell-1) and
-  principal ideals.
-  Intersections and colons form each pair as one ``tuple(map(...))`` (max,
-  or the difference clipped at 0).  From 2 048 pairs on, while the
-  base**(packed coordinates) cells are no more than the pairs, the rule
+* only a product of two one-degree ideals packs: generated each in a
+  degree of its own, their product is generated in one degree, and by
+  the fact above every distinct sum is a minimal generator, so no
+  antichain runs.  The paper's checks multiply, add and compare only such
+  ideals: powers of m, J = m^(ell-1), principal ideals and pure-power
+  reductions.  Below 48 pairs it adds the exponent tuples directly, where
+  packing costs more: in dims 2-4, 4 pairs took 3-6 us so against 8-11 us
+  packed, the two were even from 30 to 48 pairs, and 64 pairs took
+  20-50 % longer on tuples.  From 48 pairs on it packs the first d-1
+  coordinates of each exponent tuple into one int in base degree + 1, so
+  each pair is one int addition, unpacks the distinct sums column by
+  column with divmod and sets the last coordinate to the degree minus the
+  others.  The sums come out canonical: sorted descending, as tuples or
+  as packed ints, whose order is the tuples' order.  From 2 048 pairs on,
+  while the base**(d-1) cells are no more than the pairs, the rule
   ``_sumset`` keeps below, and numpy is already loaded, numpy adds the
   packed int64s, marks each sum in a boolean array of those cells, reads
   the marks back with ``np.flatnonzero`` and unpacks with divmod (it wins
@@ -58,11 +56,12 @@ Key choices:
   numpy saves at most 0.15 us of them, so the import pays only in a
   process that loads numpy anyway: m^22 * m^16 in dim 4, 2 228 700 pairs,
   takes 85 ms in Python against 12 ms in numpy plus 50 ms to import it
-  (2-CPU Linux VM, Python 3.11, numpy 2.4).  Sparser products, with more
-  cells than pairs, add in Python, and no verb or benchmark forms one:
-  their sums take 1.2-5.5 ms, 2-4x a numpy sort of them, next to
-  13-110 ms for the antichain of the mixed-degree result (dims 3-5,
-  22 184 to 103 024 pairs);
+  (2-CPU Linux VM, Python 3.11, numpy 2.4).
+  A mixed-degree product adds exponent tuples at any size and hands its
+  distinct sums to the antichain, which costs many times the sums: on
+  random ideals in dims 3-5, 5 328 to 27 716 pairs, packing saved 4-28 ms
+  of products that took 8-680 ms.  Intersections and colons form each pair
+  as one ``tuple(map(...))`` (max, or the difference clipped at 0);
 * in two variables a one-degree ideal of degree D is its set of
   x-exponents (each y is D - x), so a product of two such ideals is the
   sumset of those sets.  From 48 pairs on it is one int per factor, with
@@ -83,13 +82,17 @@ Key choices:
 * the antichain tests divisibility on tuples; in two variables it is the
   staircase: sorted by (x, y), a pair is minimal iff its y is strictly
   below every earlier y, so minimal generators sorted by x have strictly
-  decreasing y (Herzog-Hibi, GTM 260, ch. 1).  A dim-2 ideal caches that
-  staircase on first use, and membership is then one bisect on the xs.
-  In more variables one stable sort by degree (each degree keeps the set
-  order) and one scan test each candidate against the kept generators of
-  smaller degree only.  Against every kept one the scan is quadratic on
-  one-degree sets: a colon through two single colons of 3 202 one-degree
-  generators took 31 s in a test under tracemalloc, against under 1 s;
+  decreasing y (Herzog-Hibi, GTM 260, ch. 1).  In more variables one
+  stable sort by degree (each degree keeps the set order) and one scan
+  test each candidate against the kept generators of smaller degree
+  only.  Against every kept one the scan is quadratic on one-degree sets:
+  a colon through two single colons of 3 202 one-degree generators took
+  31 s in a test under tracemalloc, against under 1 s;
+* membership of one monomial is one scan of the generators in every
+  dimension, and nothing is cached for it.  Containment of two one-degree
+  ideals is a set test; what still tests membership is containment of
+  other ideals, the brute-force colon and the Veronese ``member``, whose
+  largest ideal in a verb or benchmark has about 240 generators;
 * one builder, ``_drop_table``, makes t(u) over a box with its longest side
   dropped: the least dropped-axis exponent of a generator below u, spread by
   a cumulative min along each axis in numpy.  From 32 generators on
@@ -116,7 +119,6 @@ Key choices:
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -124,7 +126,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import check_budget, check_equal, check_int
 
@@ -208,72 +210,62 @@ def _var_names(dim: int) -> list[str]:
     return [f"x{k}" for k in range(1, dim + 1)]
 
 
-def _distinct_sums(
-    a: list[tuple[int, ...]], b: list[tuple[int, ...]], base: int, degree: int | None = None
-) -> list[tuple[int, ...]]:
-    """The distinct exponent-wise sums p + q over p in a, q in b (nonempty, one length).
+def _distinct_sums(a: list[tuple[int, ...]], b: list[tuple[int, ...]], degree: int) -> list[tuple[int, ...]]:
+    """The distinct exponent-wise sums p + q over p in a, q in b, all of the given degree, in canonical order.
 
-    Below _SUM_PACK_PAIRS pairs, and in dim 1, each sum is one tuple, and
-    base is not read.  From there on each tuple is packed into one int in
-    base, coordinate 0 most significant.  base exceeds every coordinate of
-    every sum, so no field carries and the packed sum is the sum of the
-    packed ints.  With degree given, every p + q has that degree: only the
-    first dim-1 coordinates are packed, each sum's last one is degree minus
-    the rest, and the sums come back in canonical order, which for one
-    degree is lexicographically descending, so packed ints descending.
-    From _SUM_NUMPY_PAIRS pairs on, while cells = base**(packed
-    coordinates) <= pairs, and if numpy is already loaded, numpy forms the
-    sums in one array, marks each in a boolean array of cells entries and
-    reads the marks back ascending.  Every packed sum is below cells, so
-    it fits int64.  In dim 2 with degree given, _sumset is tried before
-    any packing.
+    a and b are nonempty, of one length, and every p + q has that degree,
+    so the canonical order is lexicographically descending.  Below
+    _SUM_PACK_PAIRS pairs, and in dim 1, each sum is one tuple.  From there
+    on the first dim-1 coordinates of each tuple are packed into one int in
+    base degree + 1, coordinate 0 most significant; that base exceeds every
+    coordinate of every sum, so no field carries, the packed sum is the sum
+    of the packed ints, and packed ints descending are the tuples
+    descending.  Each sum's last coordinate is degree minus the rest.  From
+    _SUM_NUMPY_PAIRS pairs on, while cells = base**(dim-1) <= pairs, and if
+    numpy is already loaded, numpy forms the sums in one array, marks each
+    in a boolean array of cells entries and reads the marks back.  Every
+    packed sum is below cells, so it fits int64.  In dim 2, _sumset is
+    tried before any packing.
     """
     pairs = len(a) * len(b)
     if pairs < _SUM_PACK_PAIRS or len(a[0]) == 1:  # a dim-1 ideal has one generator: one pair, nothing to pack
         add = operator.add
-        sums = {tuple(map(add, p, q)) for p in a for q in b}
-        return list(sums) if degree is None else sorted(sums, reverse=True)
+        return sorted({tuple(map(add, p, q)) for p in a for q in b}, reverse=True)
     dim = len(b[0])
-    if degree is not None and dim == 2:
+    if dim == 2:
         xs = _sumset(a, b, pairs)
         if xs is not None:
             return [(x, degree - x) for x in xs]
-    packed = dim if degree is None else dim - 1
+    base, packed = degree + 1, dim - 1
     weights = [base**k for k in range(packed - 1, -1, -1)]
     cells = base**packed
-    vectorized = pairs >= _SUM_NUMPY_PAIRS and cells <= pairs and "numpy" in sys.modules
     cols = []  # one column per packed coordinate, the least significant first
-    if vectorized:
+    if pairs >= _SUM_NUMPY_PAIRS and cells <= pairs and "numpy" in sys.modules:
         import numpy as np
 
         w = np.array(weights, dtype=np.int64)
         v = np.add.outer(_int64_rows(a, dim)[:, :packed] @ w, _int64_rows(b, dim)[:, :packed] @ w).reshape(-1)
         marks = np.zeros(cells, dtype=bool)
         marks[v] = True
-        v = np.flatnonzero(marks)
-        if degree is not None:
-            v = v[::-1]
+        v = np.flatnonzero(marks)[::-1]
         for _ in range(packed - 1):
             v, low = np.divmod(v, base)
             cols.append(low.tolist())
         cols.append(v.tolist())
     else:
-        # map stops at the shorter of e and weights, so an unpacked last coordinate is skipped
+        # map stops at the shorter of e and weights, so the unpacked last coordinate is skipped
         pa = [sum(map(operator.mul, e, weights)) for e in a]
         pb = [sum(map(operator.mul, e, weights)) for e in b]
-        v = {x + y for x in pa for y in pb}  # unmodified, so every pass over it runs in one order
-        if degree is not None:
-            v = sorted(v, reverse=True)
+        v = sorted({x + y for x in pa for y in pb}, reverse=True)
         for _ in range(packed - 1):
             cols.append([x % base for x in v])
             v = [x // base for x in v]
         cols.append(v)
     cols.reverse()
-    if degree is not None:
-        last = itertools.repeat(degree)
-        for c in cols:
-            last = map(operator.sub, last, c)
-        cols.append(last)
+    last = itertools.repeat(degree)
+    for c in cols:
+        last = map(operator.sub, last, c)
+    cols.append(last)
     return list(zip(*cols))
 
 
@@ -343,6 +335,14 @@ def _antichain(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
             else:
                 kept.append(e)
     return _canonical(kept)
+
+
+def _lcms(a: Sequence[tuple[int, ...]], b: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The minimal generators of (a) intersected with (b): the antichain of the pairwise lcms.
+
+    Refuses past _PRODUCT_PAIR_CAP pairs before forming any."""
+    check_budget("intersection generator pairs", len(a) * len(b), _PRODUCT_PAIR_CAP)
+    return _antichain({tuple(map(max, g, h)) for g in a for h in b})
 
 
 def _one_degree(a: tuple[tuple[int, ...], ...], b: tuple[tuple[int, ...], ...]) -> bool:
@@ -438,13 +438,14 @@ class MonomialIdeal:
     and hash.  The empty antichain is the zero ideal; the antichain {1} is
     the unit ideal.  The stored form is _exps, the generators' exponent
     tuples in canonical order; .gens builds their Monomials on its first
-    read and keeps them.  The constructor checks its input; every result
+    read and keeps them, and nothing else is cached: membership scans
+    _exps.  The constructor checks its input; every result
     the engine computes is built by _of from exponent tuples instead, or,
     when they are already its minimal generators in canonical order, by
     _fill alone.
     """
 
-    __slots__ = ("dim", "_exps", "_gens", "_stair")
+    __slots__ = ("dim", "_exps", "_gens")
 
     def __init__(self, dim: int, gens: Iterable[Monomial] = ()):
         check_int("dim", dim, 1)
@@ -472,7 +473,6 @@ class MonomialIdeal:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_exps", tuple(exps))
         object.__setattr__(self, "_gens", None)
-        object.__setattr__(self, "_stair", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MonomialIdeal is immutable")
@@ -511,20 +511,8 @@ class MonomialIdeal:
 
     # -- membership --------------------------------------------------------
 
-    def _staircase(self) -> tuple[list[int], list[int]]:
-        """A dim-2 ideal's generators as xs ascending and ys strictly descending; built once."""
-        if self._stair is None:
-            pairs = sorted(self._exps)
-            object.__setattr__(self, "_stair", ([x for x, _ in pairs], [y for _, y in pairs]))
-        return self._stair
-
     def _has(self, e: tuple[int, ...]) -> bool:
-        """Membership of the monomial with exponent tuple e (of this ideal's dim)."""
-        if self.dim == 2:
-            # the generator with the largest x <= e[0] has the smallest y among those
-            xs, ys = self._staircase()
-            i = bisect.bisect_right(xs, e[0])
-            return i > 0 and ys[i - 1] <= e[1]
+        """Membership of the monomial with exponent tuple e (of this ideal's dim): one scan of the generators."""
         le = operator.le
         return any(all(map(le, g, e)) for g in self._exps)
 
@@ -554,7 +542,9 @@ class MonomialIdeal:
         """The product ideal; refuses before forming any pair past _PRODUCT_PAIR_CAP pairs.
 
         If both factors are generated in one degree, every distinct sum has
-        that degree and is a minimal generator, so no antichain runs.
+        that degree and is a minimal generator, so no antichain runs, and
+        only then are the sums packed (_distinct_sums).  Otherwise the
+        distinct tuple sums go to the antichain.
         """
         check_equal("dimension", other.dim, self.dim)
         a, b = self._exps, other._exps
@@ -564,8 +554,9 @@ class MonomialIdeal:
         # in canonical order the first generator has the least degree and the last the largest
         top = sum(a[-1]) + sum(b[-1])
         if sum(a[0]) + sum(b[0]) == top:
-            return MonomialIdeal._of(self.dim, _distinct_sums(a, b, 1 + top, top), minimal=True)
-        return MonomialIdeal._of(self.dim, _distinct_sums(a, b, 1 + top))
+            return MonomialIdeal._of(self.dim, _distinct_sums(a, b, top), minimal=True)
+        add = operator.add
+        return MonomialIdeal._of(self.dim, {tuple(map(add, p, q)) for p in a for q in b})
 
     def __pow__(self, n: int) -> "MonomialIdeal":
         check_int("power n", n, 0)
@@ -576,9 +567,7 @@ class MonomialIdeal:
     def intersection(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """The intersection ideal; refuses before forming any pair past _PRODUCT_PAIR_CAP pairs."""
         check_equal("dimension", other.dim, self.dim)
-        a, b = self._exps, other._exps
-        check_budget("intersection generator pairs", len(a) * len(b), _PRODUCT_PAIR_CAP)
-        return MonomialIdeal._of(self.dim, {tuple(map(max, g, h)) for g in a for h in b})
+        return MonomialIdeal._of(self.dim, _lcms(self._exps, other._exps), minimal=True)
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """The colon ideal self : other = {u : u*other inside self}.
@@ -604,10 +593,7 @@ class MonomialIdeal:
         acc = None
         for m in right:
             raw = _antichain({tuple(a - b if a > b else 0 for a, b in zip(e, m)) for e in left})
-            if acc is not None:
-                check_budget("intersection generator pairs", len(acc) * len(raw), _PRODUCT_PAIR_CAP)
-                raw = _antichain({tuple(map(max, g, h)) for g in acc for h in raw})
-            acc = raw
+            acc = raw if acc is None else _lcms(acc, raw)
         return MonomialIdeal._of(self.dim, acc, minimal=True)  # _antichain's list is already canonical
 
     # -- numerics ----------------------------------------------------------

@@ -1,10 +1,13 @@
-"""Run the monomial engine's products and drop tables on one side of their size thresholds."""
+"""Run the monomial engine's products and drop tables on one side of their size thresholds.
+
+The product paths differ only for products of one-degree ideals: a
+mixed-degree product adds exponent tuples on every path."""
 
 import contextlib
 
 from reesag import monomials
 
-# the three product paths: tuple sums, packed sums in Python, packed sums in numpy
+# the three one-degree product paths: tuple sums, packed sums in Python, packed sums in numpy
 PATHS = ("tuple", "python", "numpy")
 
 _INF = float("inf")

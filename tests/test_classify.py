@@ -6,6 +6,7 @@ import importlib
 import json
 import pathlib
 import re
+import sys
 import time
 import tracemalloc
 
@@ -18,6 +19,7 @@ from reesag.classify import (
     ClassLabel,
     Evidence,
     RULE_LABELS,
+    _check_json_digits,
     render_ascii,
     render_csv,
     render_json,
@@ -344,6 +346,39 @@ def test_table_builds_obstruction_bounds_only_where_printed(monkeypatch):
     render_json(grid)
     # one bound per divisor cell off the diagonal, each ell^d built once, in the rendered order
     assert built == [(d, ell) for d in range(3, 61) for ell in range(2, min(d - 1, 31)) if (d - 1) % ell == 0]
+
+
+@pytest.mark.parametrize(
+    "d_max, ell_max, message",
+    [
+        # 10^4291, the largest bound of ell = 10, has 4 292 digits; every other ell's is shorter
+        (4300, 10, None),
+        (4301, 10, "10^4301: 4302"),
+        # refused at ell = 2, before any larger ell; 2^60001 is never built
+        (60001, 10, "2^60001: 18063"),
+        (10**9, 2, "2^999999999: 301029996"),
+        # ell = d - 1 and ell = 1 print no bound, and ell = 2 at d_max = 4 has no divisor cell
+        (10**6, 1, None),
+        (4, 10, None),
+    ],
+    ids=["at-the-limit", "one-past-the-limit", "far-past-the-limit", "past-any-power", "ell-1", "diagonal-only"],
+)
+def test_json_digit_check_refuses_a_bound_past_the_print_limit(monkeypatch, d_max, ell_max, message):
+    # Python 3.11 prints at most 4 300 digits by default; 3.10 has no limit
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    if message is None:
+        _check_json_digits(d_max, ell_max)
+    else:
+        want = f"printed digits of the obstruction bound {message} over the budget of 4300"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            _check_json_digits(d_max, ell_max)
+
+
+def test_json_digit_check_refuses_nothing_without_a_limit(monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+    _check_json_digits(60001, 10)
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    _check_json_digits(60001, 10)
 
 
 @pytest.mark.parametrize(

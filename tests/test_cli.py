@@ -240,6 +240,18 @@ def test_closed_form_bit_budget_exits_2_at_once(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_json_table_past_the_print_limit_exits_2_at_once(capsys, monkeypatch):
+    # without the check, table 60001 10 --format json built the whole grid and
+    # every divisor cell's ell^d, then failed on printing 2^60001 after about 50 s
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    monkeypatch.setattr(cli, "table", lambda *args: pytest.fail("built the table"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "table", "60001", "10", "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    message = "printed digits of the obstruction bound 2^60001: 18063 over the budget of 4300"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_closed_form_bit_budget_admits_a_cheap_cell_of_large_d(capsys):
     # n = 400 004 would pass the budget as 2^n, but every count of the cell is
     # C(n, k) with n - k <= 4, and ell = 2 does not divide d - 1, so no 2^d is built

@@ -5,6 +5,7 @@ import functools
 import math
 import operator
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -756,44 +757,28 @@ def test_pairwise_colon_matches_brute_force_dims_4_and_5(case):
 @pytest.mark.parametrize(
     "a, b, degree, numpy",
     [
-        # base 3, two packed coordinates: 9 cells against 9 pairs
-        ([(1, 0), (0, 1), (0, 0)], [(1, 0), (0, 1), (0, 0)], None, True),
-        # 9 cells against 6 pairs: the sums add in Python
-        ([(1, 0), (0, 1), (0, 0)], [(1, 0), (0, 1)], None, False),
-        # one degree in dim 3: two coordinates pack, 3**2 cells against 3 x 3 pairs
+        # dim 3: two coordinates pack in base 3, 3**2 cells against 3 x 3 pairs
         ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 2, True),
-        # base = 2**31 - 1, so base**2 < 2**62, but far more cells than pairs
-        ([(2**30 - 1, 0), (0, 2**30 - 1)], [(2**30 - 1, 0), (1, 1), (0, 0)], None, False),
-        # base = 2**31: base**2 = 2**62
-        ([(2**30, 0)], [(2**30 - 1, 0), (0, 2**30 - 1)], None, False),
-        # base**3 >= 2**62 although every sum would fit
-        ([(2**20, 0, 0), (0, 1, 5)], [(2**20 - 1, 1, 0), (0, 0, 0)], None, False),
-        # 2**62 + 2**62 overflows int64 in one field
-        ([(2**62,)], [(2**62,), (3,)], None, False),
-        ([(2**62, 1), (1, 2**62)], [(2**62, 0), (0, 2**62)], None, False),
-        # one degree: base**3 >= 2**62, and base**2 for the two packed coordinates is past the pairs
+        # base**3 >= 2**62, and base**2 for the two packed coordinates is past the pairs
         ([(2**25, 0, 0), (0, 0, 2**25)], [(2**25 - 1, 1, 0), (0, 2**25, 0)], 2**26, False),
-        # one degree, exponents past 2**62: no packed sum would fit int64
+        # exponents past 2**62: no packed sum would fit int64
         ([(2**62, 0, 0), (0, 0, 2**62)], [(2**62 - 1, 1, 0), (0, 2**62, 0)], 2**63, False),
     ],
-    ids=["cells-at-the-pairs", "cells-past-the-pairs", "one-degree-cells-at-the-pairs",
-         "base^2-below-2^62", "base^2-at-2^62", "base^3-above-2^62", "dim1-2^63", "dim2-2^63",
-         "one-degree-base^3-above-2^62", "one-degree-past-2^62"],
+    ids=["one-degree-cells-at-the-pairs", "one-degree-base^3-above-2^62", "one-degree-past-2^62"],
 )
 def test_distinct_sums_take_numpy_only_below_2_to_62(monkeypatch, a, b, degree, numpy):
-    # numpy only while its cells, base**(packed coordinates), are no more than
-    # the pairs (from one pair on under engine_path("numpy")), and never in dim 1;
-    # every sum it packs is below the cells, so far below 2**62
-    base = 1 + max(map(sum, a)) + max(map(sum, b))
-    cells = base ** (len(a[0]) - (degree is not None))
-    assert (cells <= len(a) * len(b) and len(a[0]) > 1) == numpy
+    # numpy only while its cells, (degree + 1)**(dim - 1), are no more than
+    # the pairs (from one pair on under engine_path("numpy")); every sum it
+    # packs is below the cells, so far below 2**62
+    assert {sum(p) + sum(q) for p in a for q in b} == {degree}
+    assert ((degree + 1) ** (len(a[0]) - 1) <= len(a) * len(b)) == numpy
     packed = []
     rows = monomials._int64_rows
     monkeypatch.setattr(monomials, "_int64_rows", lambda *args: packed.append(1) or rows(*args))
     with engine_path("numpy"):
-        got = _distinct_sums(a, b, base, degree)
+        got = _distinct_sums(a, b, degree)
     assert bool(packed) == numpy
-    assert sorted(got) == sorted({tuple(map(operator.add, p, q)) for p in a for q in b})
+    assert got == sorted({tuple(map(operator.add, p, q)) for p in a for q in b}, reverse=True)
     assert all(type(e) is int for sums in got for e in sums)
 
 
@@ -1106,20 +1091,32 @@ def test_numpy_products_dedup_by_bitmap_while_cells_fit_the_pairs(monkeypatch, s
     assert product._exps == tuple(_canonical(product_gens(a, b)))
 
 
-def test_mixed_degree_numpy_products_dedup_by_bitmap(monkeypatch):
-    # m^32 in dim 3 with x^32 raised to x^33: mixed degrees, base 67, three
-    # packed coordinates, 300 763 cells against 561 x 561 = 314 721 pairs
-    a = [(33, 0, 0), *monomials._of_degree(3, 32)[:-1]]
-    I = MonomialIdeal(3, map(Monomial, a))
-    assert I.num_gens() == 561 and (1 + 2 * 33) ** 3 <= 561**2
-    with engine_path("python"):
-        want = I * I
-    marks = []
-    flatnonzero = np.flatnonzero
-    with engine_path("numpy"), monkeypatch.context() as patch:
-        patch.setattr(np, "flatnonzero", lambda *args: marks.append(1) or flatnonzero(*args))
-        assert I * I == want
-    assert marks == [1]
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # m^32 in dim 3 with x^32 raised to x^33: 561 x 561 = 314 721 pairs
+        # against 67**3 = 300 763 cells, so dense enough for a numpy bitmap
+        ([(33, 0, 0), *monomials._of_degree(3, 32)[:-1]],) * 2,
+        # past the packing crossover: 10 x 6 pairs in dim 2, 10 x 10 in dim 4
+        ([(x, 2 * (9 - x)) for x in range(10)], [(x, 10 - x) for x in range(0, 11, 2)]),
+        ([(3, 0, 0, 0), *monomials._of_degree(4, 2)[:-1]], monomials._of_degree(4, 2)),
+    ],
+    ids=["dim3-dense", "dim2", "dim4"],
+)
+def test_mixed_degree_products_add_tuples_on_every_path(a, b):
+    # only one-degree products pack: a mixed-degree product adds exponent
+    # tuples and leaves the rest to the antichain, on every path and with
+    # numpy loaded
+    assert "numpy" in sys.modules and len(a) * len(b) >= monomials._SUM_PACK_PAIRS
+    I, J = MonomialIdeal(len(a[0]), map(Monomial, a)), MonomialIdeal(len(b[0]), map(Monomial, b))
+    assert not monomials._one_degree(I._exps, J._exps)
+    want = product_gens(a, b)
+    for path in ("default", *PATHS):
+        with contextlib.nullcontext() if path == "default" else engine_path(path):
+            with _recording("_distinct_sums", "_int64_rows") as calls:
+                product = I * J
+        assert calls == {"_distinct_sums": 0, "_int64_rows": 0}, path
+        assert list(product._exps) == want, path
 
 
 @st.composite
